@@ -6,7 +6,7 @@ requests park on futures while a :class:`repro.serving.batching.MicroBatcher`
 coalesces them, and each flush executes mixed ``n``/``alpha``
 deployments as **one** fused
 :class:`repro.sampling.alias.HeterogeneousAliasSampler` gather — with
-per-user :class:`repro.release.ledger.ConcurrentPrivacyLedger`
+per-user :class:`repro.release.durable_ledger.MemoryLedgerBook`
 accounting charged atomically before every draw and an online audit
 hook replaying a sampled slice of responses against the independently
 re-derived geometric law.
@@ -172,7 +172,7 @@ def check_ledger_floor(store):
         f"admitted {granted}"
     )
     assert rejected == 5 * K - K
-    ledger = server.ledger("racer")
+    ledger = server.ledgers.view("racer")
     assert ledger.cumulative_alpha == alpha**K >= ledger.floor
     return {
         "floor": str(alpha**K),

@@ -382,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="circuit-breaker policy when the durable ledger's fsync "
         "fails (ENOSPC/EIO): 'reject-new-charges' refuses publishes "
         "with 503 + Retry-After until a recovery probe succeeds; "
-        "'memory-mode-with-alarm' keeps serving against a volatile "
-        "in-memory overlay, marks responses durability=volatile, and "
-        "backfills the WAL on recovery — never a silent downgrade",
+        "'memory-mode-with-alarm' keeps charging the same book in "
+        "memory, marks responses durability=volatile, and backfills "
+        "the WAL on recovery — never a silent downgrade",
     )
 
     ledger = sub.add_parser(
@@ -927,32 +927,25 @@ def _cmd_ledger(args) -> str:
             f"seq={stats['seq']} journal_bytes={stats['journal_bytes']} "
             f"replay_entries={stats['replay_entries']}",
         ]
-        from .obs.budget import burn_rows_from_book
+        from .obs.budget import burn_row
 
-        burn = {row.user: row for row in burn_rows_from_book(ledger)}
-        users = sorted(ledger._books)
-        for user in users:
-            budget = ledger.view(user)
-            row = burn.get(user)
-            extra = ""
-            if row is not None:
-                left = (
-                    "inf"
-                    if row.remaining_charges is None
-                    else row.remaining_charges
-                )
-                extra = (
-                    f" spent={row.spent_fraction * 100:.1f}% "
-                    f"charges_left={left}"
-                )
+        budgets = sorted(ledger.budgets(), key=lambda budget: budget.user)
+        for budget in budgets:
+            row = burn_row(budget)
+            left = (
+                "inf"
+                if row.remaining_charges is None
+                else row.remaining_charges
+            )
             lines.append(
-                f"  {user}: releases={budget.releases} "
+                f"  {budget.user}: releases={budget.releases} "
                 f"cumulative={budget.cumulative_alpha} "
                 f"(epsilon={budget.cumulative_epsilon:.4f}) "
-                f"remaining={budget.remaining_alpha}"
-                + extra
+                f"remaining={budget.remaining_alpha} "
+                f"spent={row.spent_fraction * 100:.1f}% "
+                f"charges_left={left}"
             )
-        if not users:
+        if not budgets:
             lines.append("  (no releases recorded)")
         return "\n".join(lines)
     finally:

@@ -17,9 +17,10 @@ with exact :class:`fractions.Fraction` comparisons, so it is *exact*
 even thousands of charges from the floor where ``alpha**k`` underflows
 log arithmetic's precision.
 
-Sources: a live ledger book (:func:`burn_rows_from_book`, used by the
-server's scrape-time collector and ``GET /obs/burn``) or a ledger
-directory at rest (:func:`burn_rows_from_dir`, used by ``repro ledger
+Sources: a live ledger book (:func:`burn_rows_from_book`, one
+consistent read of every user's budget, used by the server's
+scrape-time collector and ``GET /obs/burn``) or a ledger directory at
+rest (:func:`burn_rows_from_dir`, used by ``repro ledger
 show`` and ``repro obs top`` — recovery replays the WAL, so the rows
 reflect exactly what a restarted server would enforce). The durable
 ledger import is lazy to keep ``repro.obs`` free of release-layer
@@ -56,7 +57,7 @@ class BurnRow:
     remaining_charges: int | None
     #: The alpha a future charge is assumed to use: the user's last
     #: charged alpha, or the geometric mean of their releases when only
-    #: a restored cumulative guarantee is known.
+    #: a compacted cumulative guarantee is known.
     last_alpha: object | None
 
     @property
@@ -93,7 +94,7 @@ def remaining_charges(cumulative, floor, alpha) -> int | None:
     ``None`` when unbounded (``floor == 0``) or ``alpha`` is not a
     budget-consuming level (``alpha <= 0`` or ``alpha >= 1``). The float
     log estimate is adjusted with exact Fraction arithmetic, so the
-    answer matches what :meth:`PrivacyLedger.try_charge` would admit.
+    answer matches what a ledger book's charge would admit.
     """
     if floor is None or floor == 0:
         return None
@@ -129,27 +130,30 @@ def remaining_charges(cumulative, floor, alpha) -> int | None:
     return estimate
 
 
-def _last_alpha(entries, releases, cumulative):
+def _projected_alpha(budget):
     """The alpha to project future charges at.
 
-    Prefers the most recent genuinely-charged entry (restore entries
-    carry labels ``snapshot``/``recovered`` and fold many releases into
-    one ratio). Falls back to the geometric mean
-    ``cumulative ** (1/releases)`` when only a recovered total exists.
+    The user's last charged alpha; after a compaction only the total is
+    known, so fall back to the geometric mean
+    ``cumulative ** (1/releases)``.
     """
-    for entry in reversed(entries):
-        if entry.label not in ("snapshot", "recovered") and 0 < entry.alpha < 1:
-            return entry.alpha
-    if releases > 0 and 0 < cumulative < 1:
-        return float(cumulative) ** (1.0 / releases)
+    alpha = budget.last_alpha
+    if alpha is not None and 0 < alpha < 1:
+        return alpha
+    cumulative = budget.cumulative_alpha
+    if budget.releases > 0 and 0 < cumulative < 1:
+        return float(cumulative) ** (1.0 / budget.releases)
     return None
 
 
-def burn_row(user, entries, releases, cumulative, floor) -> BurnRow:
-    alpha = _last_alpha(entries, releases, cumulative)
+def burn_row(budget) -> BurnRow:
+    """One user's burn row from their
+    :class:`~repro.release.durable_ledger.UserBudget`."""
+    alpha = _projected_alpha(budget)
+    cumulative, floor = budget.cumulative_alpha, budget.floor
     return BurnRow(
-        user=user,
-        releases=releases,
+        user=budget.user,
+        releases=budget.releases,
         cumulative_alpha=cumulative,
         floor=floor,
         spent_fraction=spent_fraction(cumulative, floor),
@@ -164,23 +168,7 @@ def burn_rows_from_book(book) -> list:
     Sorted most-burned first, ties broken by user name, so the head of
     the list is always the next user to hit the floor.
     """
-    rows = []
-    for user in list(book._books):
-        ledger = book._books.get(user)
-        if ledger is None:  # pragma: no cover - concurrent eviction
-            continue
-        view = book.view(user)
-        if view is None:  # pragma: no cover - concurrent eviction
-            continue
-        rows.append(
-            burn_row(
-                user,
-                ledger.entries,
-                view.releases,
-                view.cumulative_alpha,
-                view.floor,
-            )
-        )
+    rows = [burn_row(budget) for budget in book.budgets()]
     rows.sort(key=lambda r: (-r.spent_fraction, r.user))
     return rows
 

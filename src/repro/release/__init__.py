@@ -39,7 +39,6 @@ from .durable_ledger import (
 )
 from .ledger import (
     BudgetExceededError,
-    ConcurrentPrivacyLedger,
     LedgerEntry,
     PrivacyLedger,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "AveragingAttackResult",
     "compare_release_strategies",
     "PrivacyLedger",
-    "ConcurrentPrivacyLedger",
     "LedgerEntry",
     "BudgetExceededError",
     "DurableLedger",

@@ -1,17 +1,21 @@
-"""Crash-safe, durable privacy-budget accounting.
+"""Per-user privacy budgets: one book, in memory or crash-safe on disk.
 
-The serving layer's :class:`~repro.release.ledger.ConcurrentPrivacyLedger`
-enforces the paper's composition argument (Section 2.6: independent
-releases multiply their alpha guarantees, epsilons add) — but an
-in-memory ledger resets when the process dies, silently refilling every
-user's budget. That is a *privacy violation*, not an availability bug:
-the composition invariant must survive crashes, torn writes, and full
-disks. This module is the durability layer:
+Independent releases compose multiplicatively (Section 2.6: the joint
+guarantee is the product of the alphas, epsilons add), so all a serving
+book keeps per user is ``(cum, releases, last_alpha)``. A charge is one
+exact multiply and one compare against the floor; only an admitted
+charge creates a user's state, and the remaining allowance is derived
+only when someone reads it.
 
-* :class:`DurableLedger` — a write-ahead-logged ledger book. Every
-  charge is appended to ``wal.jsonl`` (one checksummed JSON record per
-  line, exact ``Fraction`` serialization) and — in the default
-  ``fsync="always"`` mode — fsync'd **before** the charge is
+* :class:`MemoryLedgerBook` — the book with no journal. Budgets die
+  with the process: the serving default only when no ``--ledger-dir``
+  is given.
+* :class:`DurableLedger` — the same book with a write-ahead log. An
+  in-memory book resets when the process dies, silently refilling every
+  user's budget — a *privacy violation*, not an availability bug — so
+  every charge is appended to ``wal.jsonl`` (one checksummed JSON
+  record per line, exact ``Fraction`` serialization) and — in the
+  default ``fsync="always"`` mode — fsync'd **before** the charge is
   acknowledged, so a response is only ever released against a durable
   charge. ``fsync="group"`` defers the fsync to an explicit
   :meth:`DurableLedger.sync` so a serving tick can amortize one fsync
@@ -42,9 +46,16 @@ disks. This module is the durability layer:
   (:class:`ChargeDecision` outcome ``"replayed"``; a key whose charge
   was journaled but whose response was lost in a crash resolves as
   ``"pending"`` — charged once, safe to re-sample).
-
-:class:`MemoryLedgerBook` offers the same interface without a
-directory, so the server code is identical in both modes.
+* **Volatile mode** — the serving WAL breaker's memory policy. After
+  :meth:`DurableLedger.go_volatile` the book charges in memory (the
+  floor keeps binding where it stood) and queues each user's product of
+  admitted alphas plus the idempotency entries made during the outage.
+  :meth:`DurableLedger.recover`, the breaker's half-open probe, reopens
+  the WAL through the book's own :class:`LedgerFS`, reloads, probes,
+  and journals one ``backfill:wal-outage`` charge per queued user (with
+  no floor check: those releases were already served) and the queued
+  entries as ``result`` records — so a sibling's charges made during
+  the outage are kept and a retried key replays instead of re-charging.
 
 Filesystem access goes through a :class:`LedgerFS` seam and crash
 points through a fault-injector hook, so the chaos suite
@@ -65,7 +76,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,7 +89,7 @@ from ..core.privacy import alpha_to_epsilon
 from ..exceptions import ReproError
 from ..obs.tracing import current_trace
 from ..validation import check_alpha
-from .ledger import ConcurrentPrivacyLedger
+from .ledger import allowance, check_floor
 
 __all__ = [
     "ChargeDecision",
@@ -179,13 +190,23 @@ NO_FAULTS = _NoFaults()
 
 @dataclass(frozen=True)
 class UserBudget:
-    """A read-only statement of one user's accounting."""
+    """A read-only statement of one user's accounting.
+
+    ``last_alpha`` is the user's last charged alpha, or ``None`` when
+    only a compacted total is known. It only projects future charges,
+    so it is not part of equality: a book and its reopened copy agree
+    even though a compaction keeps only the totals.
+    """
 
     user: str
     releases: int
     floor: object
     cumulative_alpha: object
-    remaining_alpha: object
+    last_alpha: object = field(compare=False)
+
+    @property
+    def remaining_alpha(self):
+        return allowance(self.cumulative_alpha, self.floor)
 
     @property
     def cumulative_epsilon(self) -> float:
@@ -213,12 +234,16 @@ class ChargeDecision:
     outcome: str
     user: str
     cumulative_alpha: object
-    remaining_alpha: object
+    floor: object
     replay: tuple | None = None
 
     @property
     def charged(self) -> bool:
         return self.outcome == "charged"
+
+    @property
+    def remaining_alpha(self):
+        return allowance(self.cumulative_alpha, self.floor)
 
 
 def _encode_record(record: dict) -> bytes:
@@ -342,6 +367,12 @@ class _ReplayCache:
     def get(self, idem: str) -> dict | None:
         return self._entries.get(idem)
 
+    def record(self, idem, user, status=None, response=None) -> None:
+        """Store an entry; the default is a pending charge."""
+        self.put(
+            idem, {"user": user, "status": status, "response": response}
+        )
+
     def put(self, idem: str, entry: dict) -> None:
         self._entries[idem] = entry
         self._entries.move_to_end(idem)
@@ -356,9 +387,6 @@ class _ReplayCache:
     def items(self):
         return self._entries.items()
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -372,92 +400,131 @@ def _fraction(text) -> Fraction:
         ) from None
 
 
+class _UserState:
+    """One user's budget: all that composition, the 429 body and burn
+    projection need."""
+
+    __slots__ = ("cum", "releases", "last_alpha")
+
+    def __init__(self, cum, releases, last_alpha) -> None:
+        self.cum = cum
+        self.releases = releases
+        self.last_alpha = last_alpha
+
+
 class MemoryLedgerBook:
-    """The process-local ledger book: per-user
-    :class:`ConcurrentPrivacyLedger` accounting plus an in-memory
+    """The per-user budget book with no journal, plus an in-memory
     idempotency replay cache. Budgets die with the process — the
-    serving default only when no ``--ledger-dir`` is given."""
+    serving default only when no ``--ledger-dir`` is given.
+
+    Every method is safe to call from many threads: one lock serializes
+    each read-modify-write, so racers can never both pass the floor
+    check for the last slot of a budget.
+    """
 
     durable = False
 
-    def __init__(
-        self, floor=0, *, replay_cap: int = 65536, telemetry=None
-    ) -> None:
-        check_alpha(floor, allow_endpoints=True)
-        self.floor = floor
-        self.telemetry = telemetry
-        self._books: dict[str, ConcurrentPrivacyLedger] = {}
+    def __init__(self, floor=0, *, replay_cap: int = 65536) -> None:
+        self.floor = Fraction(check_floor(floor))
+        self._users: dict[str, _UserState] = {}
         self._replay = _ReplayCache(replay_cap)
         self._lock = threading.Lock()
 
-    # -- the shared LedgerBook interface --------------------------------
-    def book(self, user: str) -> ConcurrentPrivacyLedger:
-        """The (created-on-first-use) ledger accounting for ``user``."""
-        ledger = self._books.get(user)
-        if ledger is None:
-            ledger = self._books[user] = ConcurrentPrivacyLedger(self.floor)
-        return ledger
+    # -- the journal hooks (no journal here) ----------------------------
+    def _exclusive(self):
+        return self._lock
 
+    def _journal_charge(self, user, alpha, cum, label, idem) -> None:
+        pass
+
+    def _journal_result(self, idem, user, status, response) -> None:
+        pass
+
+    def _maybe_compact(self) -> None:
+        pass
+
+    # -- the book --------------------------------------------------------
     def charge(
         self, user: str, alpha, *, label: str = "release", idem=None
     ) -> ChargeDecision:
-        with self._lock:
+        """Charge-or-reject a release at ``alpha`` against ``user``'s
+        budget; a known idempotency key answers from the replay cache
+        instead of charging again."""
+        check_alpha(alpha)
+        alpha = Fraction(alpha)
+        with self._exclusive():
             if idem is not None:
-                decision = self._replay_decision(user, idem)
-                if decision is not None:
-                    return decision
-            book = self.book(user)
-            if not book.try_charge(alpha, label=label):
+                hit = self._replay.get(idem)
+                if hit is not None:
+                    return self._replay_decision(user, hit)
+            state = self._users.get(user)
+            cum = alpha if state is None else state.cum * alpha
+            if cum < self.floor:
                 return ChargeDecision(
-                    "rejected", user, book.cumulative_alpha,
-                    book.remaining_alpha,
+                    "rejected", user,
+                    Fraction(1) if state is None else state.cum, self.floor,
                 )
+            self._journal_charge(user, alpha, cum, label, idem)
+            self._credit(state, user, cum, alpha)
             if idem is not None:
-                self._replay.put(
-                    idem, {"user": user, "status": None, "response": None}
-                )
-            return ChargeDecision(
-                "charged", user, book.cumulative_alpha, book.remaining_alpha
-            )
+                self._replay.record(idem, user)
+            self._maybe_compact()
+            return ChargeDecision("charged", user, cum, self.floor)
 
-    def _replay_decision(self, user, idem) -> ChargeDecision | None:
-        hit = self._replay.get(idem)
-        if hit is None:
-            return None
-        book = self.book(hit.get("user") or user)
+    def _credit(self, state, user, cum, alpha) -> None:
+        if state is None:
+            self._users[user] = _UserState(cum, 1, alpha)
+        else:
+            state.cum = cum
+            state.releases += 1
+            state.last_alpha = alpha
+
+    def _replay_decision(self, user, hit) -> ChargeDecision:
+        state = self._users.get(hit.get("user") or user)
+        cum = Fraction(1) if state is None else state.cum
         if hit.get("status") is not None:
             return ChargeDecision(
-                "replayed", user, book.cumulative_alpha,
-                book.remaining_alpha, replay=(hit["status"], hit["response"]),
+                "replayed", user, cum, self.floor,
+                replay=(hit["status"], hit["response"]),
             )
-        return ChargeDecision(
-            "pending", user, book.cumulative_alpha, book.remaining_alpha
-        )
+        return ChargeDecision("pending", user, cum, self.floor)
 
     def record_result(self, idem: str, status: int, response: dict) -> None:
-        """Attach the released response to its idempotency key."""
-        with self._lock:
-            hit = self._replay.get(idem) or {"user": None}
-            self._replay.put(
-                idem,
-                {"user": hit.get("user"), "status": int(status),
-                 "response": response},
-            )
+        """Attach the released response to its idempotency key.
 
-    def view(self, user: str) -> UserBudget | None:
-        book = self._books.get(user)
-        if book is None:
-            return None
+        Best-effort relative to the charge itself: losing this record in
+        a crash downgrades a future retry from ``"replayed"`` to
+        ``"pending"`` (re-sample, never re-charge).
+        """
+        with self._exclusive():
+            user = (self._replay.get(idem) or {}).get("user")
+            self._journal_result(idem, user, int(status), response)
+            self._replay.record(idem, user, int(status), response)
+            self._maybe_compact()
+
+    def _budget(self, user, state) -> UserBudget:
         return UserBudget(
-            user=user,
-            releases=len(book),
-            floor=book.floor,
-            cumulative_alpha=book.cumulative_alpha,
-            remaining_alpha=book.remaining_alpha,
+            user, state.releases, self.floor, state.cum, state.last_alpha
         )
 
+    def view(self, user: str) -> UserBudget | None:
+        """One user's budget, or ``None`` when nothing was charged."""
+        with self._exclusive():
+            state = self._users.get(user)
+            return None if state is None else self._budget(user, state)
+
+    def budgets(self) -> list[UserBudget]:
+        """Every user's budget from one consistent read — one lock (and,
+        for a durable book, one flock and one catch-up) for all."""
+        with self._exclusive():
+            return [
+                self._budget(user, state)
+                for user, state in self._users.items()
+            ]
+
     def users(self) -> int:
-        return len(self._books)
+        with self._exclusive():
+            return len(self._users)
 
     def sync(self) -> None:
         """Nothing to flush — memory books are as durable as they get."""
@@ -468,20 +535,20 @@ class MemoryLedgerBook:
     def stats(self) -> dict:
         return {
             "backend": "memory",
-            "users": len(self._books),
+            "users": len(self._users),
             "replay_entries": len(self._replay),
         }
 
     def __repr__(self) -> str:
         return (
-            f"<MemoryLedgerBook users={len(self._books)} floor={self.floor}>"
+            f"<MemoryLedgerBook users={len(self._users)} floor={self.floor}>"
         )
 
 
 class DurableLedger(MemoryLedgerBook):
-    """A :class:`MemoryLedgerBook` backed by a checksummed, fsync'd,
-    append-only JSONL write-ahead log (see the module docstring for the
-    protocol and recovery semantics).
+    """The budget book backed by a checksummed, fsync'd, append-only
+    JSONL write-ahead log (see the module docstring for the protocol,
+    the recovery semantics and volatile mode).
 
     Parameters
     ----------
@@ -523,7 +590,6 @@ class DurableLedger(MemoryLedgerBook):
                 f"fsync must be one of {FSYNC_MODES}, got {fsync!r}"
             )
         self.path = Path(directory).expanduser()
-        self.path.mkdir(parents=True, exist_ok=True)
         self._fs = fs if fs is not None else REAL_FS
         self._faults = faults if faults is not None else NO_FAULTS
         self._mode = fsync
@@ -543,9 +609,14 @@ class DurableLedger(MemoryLedgerBook):
         self._dirty = False
         self._failed: str | None = None
         self._closed = False
-        floor = self._resolve_floor(floor)
+        # Volatile mode: per-user product of the alphas admitted while
+        # the WAL was unavailable (``None`` = durable), and the
+        # idempotency keys touched meanwhile.
+        self._outage: dict[str, Fraction] | None = None
+        self._outage_keys: dict[str, None] = {}
         self._wal_lat_pending: list = []
-        super().__init__(floor, replay_cap=replay_cap, telemetry=telemetry)
+        self.telemetry = telemetry
+        super().__init__(self._resolve_floor(floor), replay_cap=replay_cap)
         if telemetry is not None:
             # Deferred WAL-append latency: each charge parks one raw
             # duration (a C-level list append); this collector folds
@@ -565,9 +636,9 @@ class DurableLedger(MemoryLedgerBook):
         stored = None if meta is None else _fraction(meta["floor"])
         if floor is None:
             floor = stored if stored is not None else 0
-        check_alpha(floor, allow_endpoints=True)
-        floor = Fraction(floor)
+        floor = Fraction(check_floor(floor))
         if stored is None or stored != floor:
+            self.path.mkdir(parents=True, exist_ok=True)
             _atomic_json_write(
                 self.path / _META_NAME,
                 {"version": _FORMAT_VERSION, "seq": 0,
@@ -592,10 +663,14 @@ class DurableLedger(MemoryLedgerBook):
     @contextlib.contextmanager
     def _exclusive(self):
         with self._lock:
-            if self._failed:
-                raise LedgerUnavailableError(self._failed)
             if self._closed:
                 raise LedgerUnavailableError("ledger is closed")
+            if self._outage is not None:
+                # Volatile: the WAL is gone, the book charges in memory.
+                yield
+                return
+            if self._failed:
+                raise LedgerUnavailableError(self._failed)
             self._flock()
             try:
                 self._catch_up()
@@ -614,6 +689,12 @@ class DurableLedger(MemoryLedgerBook):
         if self._wal is None:
             self._wal = self._fs.open_append(self._wal_path)
         return self._wal
+
+    def _drop_wal(self) -> None:
+        if self._wal is not None:
+            with contextlib.suppress(OSError):
+                self._wal.close()
+            self._wal = None
 
     def _stat_snapshot(self):
         try:
@@ -655,8 +736,8 @@ class DurableLedger(MemoryLedgerBook):
     def _reload(self) -> None:
         """Full recovery: snapshot, then journal replay, truncating a
         torn tail and refusing mid-journal corruption."""
-        self._books.clear()
-        self._replay.clear()
+        self._users = {}
+        self._replay = _ReplayCache(self._replay.cap)
         self._seq = 0
         self._snapshot_seq = 0
         snapshot = _read_checked_json(self._snapshot_path)
@@ -668,11 +749,13 @@ class DurableLedger(MemoryLedgerBook):
                 )
             self._snapshot_seq = self._seq = int(snapshot["seq"])
             for user, state in snapshot.get("users", {}).items():
-                book = self.book(user)
-                book.restore(
-                    _fraction(state["cum"]), label="snapshot",
-                    releases=int(state.get("releases", 1)),
-                )
+                releases = int(state.get("releases", 1))
+                # Older compactions wrote zero-release entries for users
+                # whose first charge was rejected: no budget was spent.
+                if releases > 0:
+                    self._users[user] = _UserState(
+                        _fraction(state["cum"]), releases, None
+                    )
             for idem, entry in snapshot.get("replay", {}).items():
                 self._replay.put(idem, dict(entry))
         self._snap_stat = self._stat_snapshot()
@@ -703,27 +786,19 @@ class DurableLedger(MemoryLedgerBook):
         op = record.get("op")
         if op == "charge":
             user = record["user"]
-            book = self.book(user)
-            book.restore(
-                _fraction(record["cum"]),
-                label=record.get("label", "release"),
+            self._credit(
+                self._users.get(user), user, _fraction(record["cum"]),
+                _fraction(record["alpha"]),
             )
             idem = record.get("idem")
             if idem is not None:
                 existing = self._replay.get(idem)
                 if existing is None or existing.get("status") is None:
-                    self._replay.put(
-                        idem,
-                        {"user": user, "status": None, "response": None},
-                    )
+                    self._replay.record(idem, user)
         elif op == "result":
-            self._replay.put(
-                record["idem"],
-                {
-                    "user": record.get("user"),
-                    "status": record.get("status"),
-                    "response": record.get("response"),
-                },
+            self._replay.record(
+                record["idem"], record.get("user"), record.get("status"),
+                record.get("response"),
             )
         # Unknown ops are ignored for forward compatibility.
         self._seq = record["seq"]
@@ -798,153 +873,181 @@ class DurableLedger(MemoryLedgerBook):
         self._seq = record["seq"]
         self._appends_since_snapshot += 1
 
-    # -- the LedgerBook interface, durably -----------------------------
-    def charge(
-        self, user: str, alpha, *, label: str = "release", idem=None
-    ) -> ChargeDecision:
-        check_alpha(alpha)
-        alpha = Fraction(alpha)
-        with self._exclusive():
+    def _fsync_wal(self, what: str) -> None:
+        """fsync the journal now, whatever the mode; a failure makes
+        the instance refuse further writes."""
+        try:
+            self._fs.fsync(self._wal_handle())
+        except OSError as err:
+            self._failed = f"{what} fsync failed: {err}"
+            raise LedgerUnavailableError(self._failed) from err
+        self._dirty = False
+        self._fsyncs += 1
+
+    # -- the journal hooks ---------------------------------------------
+    def _journal_charge(self, user, alpha, cum, label, idem) -> None:
+        if self._outage is not None:
+            self._outage[user] = self._outage.get(user, 1) * alpha
             if idem is not None:
-                decision = self._replay_decision(user, idem)
-                if decision is not None:
-                    return decision
-            book = self.book(user)
-            if not book.can_afford(alpha):
-                return ChargeDecision(
-                    "rejected", user, book.cumulative_alpha,
-                    book.remaining_alpha,
-                )
-            record = {
-                "op": "charge",
-                "seq": self._seq + 1,
-                "user": user,
-                "alpha": str(alpha),
-                "cum": str(book.cumulative_alpha * alpha),
-                "label": label,
-            }
-            if idem is not None:
-                record["idem"] = idem
-            self._faults.crash("charge.before-append")
-            self._append(record)
-            self._faults.crash("charge.after-fsync")
-            book.charge(alpha, label=label)
-            if idem is not None:
-                self._replay.put(
-                    idem, {"user": user, "status": None, "response": None}
-                )
-            decision = ChargeDecision(
-                "charged", user, book.cumulative_alpha, book.remaining_alpha
-            )
-            self._maybe_compact()
-            return decision
+                self._outage_keys[idem] = None
+            return
+        record = {
+            "op": "charge",
+            "seq": self._seq + 1,
+            "user": user,
+            "alpha": str(alpha),
+            "cum": str(cum),
+            "label": label,
+        }
+        if idem is not None:
+            record["idem"] = idem
+        self._faults.crash("charge.before-append")
+        self._append(record)
+        self._faults.crash("charge.after-fsync")
 
-    def record_result(self, idem: str, status: int, response: dict) -> None:
-        """Journal the released response for idempotent replay.
-
-        Best-effort relative to the charge itself: losing this record in
-        a crash downgrades a future retry from ``"replayed"`` to
-        ``"pending"`` (re-sample, never re-charge).
-        """
-        with self._exclusive():
-            hit = self._replay.get(idem) or {"user": None}
-            record = {
-                "op": "result",
-                "seq": self._seq + 1,
-                "idem": idem,
-                "user": hit.get("user"),
-                "status": int(status),
-                "response": response,
-            }
-            self._faults.crash("result.before-append")
-            self._append(record)
-            self._replay.put(
-                idem,
-                {"user": hit.get("user"), "status": int(status),
-                 "response": response},
-            )
-            self._maybe_compact()
-
-    def view(self, user: str) -> UserBudget | None:
-        with self._exclusive():
-            return super().view(user)
-
-    def users(self) -> int:
-        with self._exclusive():
-            return len(self._books)
+    def _journal_result(self, idem, user, status, response) -> None:
+        if self._outage is not None:
+            self._outage_keys[idem] = None
+            return
+        self._faults.crash("result.before-append")
+        self._append({
+            "op": "result",
+            "seq": self._seq + 1,
+            "idem": idem,
+            "user": user,
+            "status": status,
+            "response": response,
+        })
 
     def sync(self) -> None:
         """Group commit: fsync everything appended since the last sync.
 
         Under ``fsync="group"`` the serving tick calls this once per
         micro-batch flush, *before* any response of the batch is
-        released — one fsync amortized over the whole batch.
+        released — one fsync amortized over the whole batch. A no-op
+        while volatile.
         """
         with self._lock:
+            if self._outage is not None:
+                return
             if self._failed:
                 raise LedgerUnavailableError(self._failed)
             if self._dirty and self._wal is not None:
                 obs = self.telemetry
                 t0 = time.perf_counter()
-                try:
-                    if obs is not None:
-                        # Inside a micro-batch execute this span is
-                        # batch-scoped: it lands in every traced
-                        # request whose charge this fsync commits.
-                        with obs.tracer.span("wal.fsync", mode="group"):
-                            self._fs.fsync(self._wal)
-                    else:
-                        self._fs.fsync(self._wal)
-                except OSError as err:
-                    self._failed = f"group-commit fsync failed: {err}"
-                    raise LedgerUnavailableError(self._failed) from err
-                self._dirty = False
+                if obs is not None:
+                    # Inside a micro-batch execute this span is
+                    # batch-scoped: it lands in every traced request
+                    # whose charge this fsync commits.
+                    with obs.tracer.span("wal.fsync", mode="group"):
+                        self._fsync_wal("group-commit")
+                else:
+                    self._fsync_wal("group-commit")
                 self._last_fsync_s = time.perf_counter() - t0
-                self._fsyncs += 1
                 if obs is not None:
                     obs.wal_fsync_latency.labels("group").observe(
                         self._last_fsync_s
                     )
 
-    def probe(self) -> None:
-        """Durability probe: journal a no-op record and fsync it.
+    # -- volatile mode -------------------------------------------------
+    def go_volatile(self) -> None:
+        """Keep charging in memory while the WAL cannot persist.
 
-        The serving circuit breaker's half-open state calls this on a
-        freshly opened ledger — one append plus one *unconditional*
-        fsync (even under ``fsync="off"``) proves the WAL is writable
-        end-to-end before durable charging resumes. Raises
-        :class:`LedgerUnavailableError` when it is not. The record's op
-        is unknown to replay and ignored, so probes cost journal bytes
-        but never touch budgets.
+        The floor keeps binding exactly where the book stood (including
+        charges whose fsync failed — ambiguity over-protects); each
+        admitted alpha and touched idempotency key is queued for
+        :meth:`recover` to journal. Idempotent.
         """
-        with self._exclusive():
-            self._append({"op": "probe", "seq": self._seq + 1})
+        with self._lock:
+            if self._outage is None:
+                self._outage = {}
+                self._outage_keys = {}
+
+    def recover(self) -> None:
+        """The breaker's half-open probe: restore durable charging.
+
+        Reopens the journal through the book's own :class:`LedgerFS`,
+        reloads snapshot and journal (so a sibling's charges made during
+        the outage count), and proves the WAL writable with one probe
+        record and an unconditional fsync (even under ``fsync="off"``).
+        Then journals one ``backfill:wal-outage`` charge per queued user
+        — no floor check: those releases were already served; it counts
+        as one release — and the queued idempotency entries as
+        ``result`` records, so a retry replays (or resolves ``pending``)
+        instead of re-charging.
+
+        Raises :class:`LedgerUnavailableError` (or
+        :class:`LedgerCorruptionError`) when the WAL is still unusable;
+        a volatile book then stays volatile with its queue, minus
+        whatever was journaled before the failure.
+        """
+        with self._lock:
+            if self._closed:
+                raise LedgerUnavailableError("ledger is closed")
+            volatile = self._outage is not None
+            saved = self._users, self._replay
+            outage, keys = self._outage or {}, self._outage_keys
+            self._outage = self._failed = None
+            self._drop_wal()
+            self._flock()
             try:
-                self._fs.fsync(self._wal_handle())
-            except OSError as err:
-                self._failed = f"probe fsync failed: {err}"
-                raise LedgerUnavailableError(self._failed) from err
-            self._dirty = False
-            self._fsyncs += 1
+                self._reload()
+                self._append({"op": "probe", "seq": self._seq + 1})
+                self._fsync_wal("probe")
+                for user, alpha in list(outage.items()):
+                    state = self._users.get(user)
+                    cum = alpha if state is None else state.cum * alpha
+                    self._journal_charge(
+                        user, alpha, cum, "backfill:wal-outage", None
+                    )
+                    self._credit(state, user, cum, alpha)
+                    del outage[user]
+                for idem in list(keys):
+                    entry = saved[1].get(idem)
+                    if entry is not None:  # None: aged out of the cache
+                        self._journal_result(
+                            idem, entry["user"], entry["status"],
+                            entry["response"],
+                        )
+                        self._replay.put(idem, entry)
+                    del keys[idem]
+                if self._dirty:
+                    self._fsync_wal("backfill")
+            except BaseException as err:
+                if volatile:
+                    # Keep serving from the outage's in-memory books; the
+                    # next probe reloads again.
+                    self._outage, self._outage_keys = outage, keys
+                    self._users, self._replay = saved
+                elif not self._failed:
+                    self._failed = f"recovery failed: {err!r}"
+                raise
+            finally:
+                self._funlock()
 
     # -- snapshot + compaction -----------------------------------------
     def _maybe_compact(self) -> None:
         if (
             self.snapshot_every > 0
             and self._appends_since_snapshot >= self.snapshot_every
+            and self._outage is None
         ):
             self._compact_locked()
 
     def compact(self) -> dict:
         """Snapshot the state and truncate the journal; returns stats."""
         with self._exclusive():
+            if self._outage is not None:
+                raise LedgerUnavailableError(
+                    "the ledger is volatile (WAL outage); nothing to compact"
+                )
             before = self._size
             self._compact_locked()
             return {
                 "snapshot_seq": self._snapshot_seq,
                 "journal_bytes_before": before,
                 "journal_bytes_after": self._size,
-                "users": len(self._books),
+                "users": len(self._users),
             }
 
     def _compact_locked(self) -> None:
@@ -954,13 +1057,10 @@ class DurableLedger(MemoryLedgerBook):
         payload = {
             "version": _FORMAT_VERSION,
             "seq": self._seq,
-            "floor": str(Fraction(self.floor)),
+            "floor": str(self.floor),
             "users": {
-                user: {
-                    "cum": str(book.cumulative_alpha),
-                    "releases": len(book),
-                }
-                for user, book in self._books.items()
+                user: {"cum": str(state.cum), "releases": state.releases}
+                for user, state in self._users.items()
             },
             "replay": {idem: entry for idem, entry in self._replay.items()},
         }
@@ -980,13 +1080,10 @@ class DurableLedger(MemoryLedgerBook):
         """Flush pending bytes and release the journal handle."""
         with self._lock:
             self._closed = True
-            if self._wal is not None:
+            if self._wal is not None and self._dirty and not self._failed:
                 with contextlib.suppress(OSError, ValueError):
-                    if self._dirty and not self._failed:
-                        self._fs.fsync(self._wal)
-                with contextlib.suppress(OSError):
-                    self._wal.close()
-                self._wal = None
+                    self._fs.fsync(self._wal)
+            self._drop_wal()
             if self._lock_handle is not None:
                 with contextlib.suppress(OSError):
                     self._lock_handle.close()
@@ -997,7 +1094,7 @@ class DurableLedger(MemoryLedgerBook):
             "backend": "durable",
             "path": str(self.path),
             "fsync": self._mode,
-            "users": len(self._books),
+            "users": len(self._users),
             "seq": self._seq,
             "snapshot_seq": self._snapshot_seq,
             "journal_bytes": self._size,
@@ -1016,7 +1113,7 @@ class DurableLedger(MemoryLedgerBook):
     def __repr__(self) -> str:
         return (
             f"<DurableLedger path={str(self.path)!r} users="
-            f"{len(self._books)} seq={self._seq} fsync={self._mode}>"
+            f"{len(self._users)} seq={self._seq} fsync={self._mode}>"
         )
 
 

@@ -10,12 +10,13 @@ avoid paying this cost for multi-level releases of one statistic.
 :class:`PrivacyLedger` makes the composition explicit for everything
 else: it records each release, tracks the cumulative guarantee exactly
 (Fractions compose exactly), and refuses releases that would drop the
-database below a configured privacy floor.
+database below a configured privacy floor. (The serving tier's per-user
+books in :mod:`repro.release.durable_ledger` keep only the running
+product, the release count and the last alpha.)
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ __all__ = [
     "BudgetExceededError",
     "LedgerEntry",
     "PrivacyLedger",
-    "ConcurrentPrivacyLedger",
 ]
 
 
@@ -55,6 +55,28 @@ class LedgerEntry:
     cumulative_alpha: object
 
 
+def check_floor(floor):
+    """Validate a privacy floor: ``[0, 1)``, 0 disabling enforcement."""
+    check_alpha(floor, allow_endpoints=True)
+    if floor == 1:
+        raise ValidationError(
+            "floor = 1 (absolute privacy) would forbid every release"
+        )
+    return floor
+
+
+def allowance(cumulative, floor):
+    """The weakest further release the floor still allows.
+
+    A future release at level ``a`` keeps a budget legal iff
+    ``cumulative * a >= floor``, i.e. ``a >= floor / cumulative``.
+    Returns 0 when enforcement is disabled, 1 when nothing is left.
+    """
+    if floor == 0:
+        return 0
+    return min(floor / cumulative, Fraction(1))
+
+
 class PrivacyLedger:
     """Tracks cumulative privacy loss across independent releases.
 
@@ -77,14 +99,8 @@ class PrivacyLedger:
     """
 
     def __init__(self, floor=0) -> None:
-        check_alpha(floor, allow_endpoints=True)
-        if floor == 1:
-            raise ValidationError(
-                "floor = 1 (absolute privacy) would forbid every release"
-            )
-        self.floor = floor
+        self.floor = check_floor(floor)
         self._entries: list[LedgerEntry] = []
-        self._restored = 0
 
     # ------------------------------------------------------------------
     @property
@@ -106,16 +122,9 @@ class PrivacyLedger:
 
     @property
     def remaining_alpha(self):
-        """The weakest further release the floor still allows.
-
-        A future release at level ``a`` keeps the ledger legal iff
-        ``cumulative * a >= floor``, i.e. ``a >= floor / cumulative``.
-        Returns 0 when enforcement is disabled, 1 when nothing is left.
-        """
-        if self.floor == 0:
-            return 0
-        allowance = self.floor / self.cumulative_alpha
-        return min(allowance, Fraction(1))
+        """The weakest further release the floor still allows (see
+        :func:`allowance`)."""
+        return allowance(self.cumulative_alpha, self.floor)
 
     def can_afford(self, alpha) -> bool:
         """Whether a release at ``alpha`` fits in the remaining budget."""
@@ -145,51 +154,6 @@ class PrivacyLedger:
             )
         )
 
-    def restore(self, cumulative, *, label: str = "recovered",
-                releases: int = 1) -> None:
-        """Seed the ledger with an externally-recovered joint guarantee.
-
-        The durability layer (:mod:`repro.release.durable_ledger`)
-        rebuilds in-memory books from its write-ahead log and snapshots:
-        each replayed record carries the exact cumulative guarantee, so
-        recovery *sets* it rather than re-deriving it, and the floor is
-        deliberately not re-checked — a recovered ledger may already sit
-        at (never below) its floor, and refusing to restore it would
-        drop admitted charges. ``releases`` counts how many releases the
-        restored state summarizes (a compacted snapshot entry stands for
-        many), so :func:`len` stays truthful.
-        """
-        check_alpha(cumulative, allow_endpoints=True)
-        if cumulative == 0:
-            raise ValidationError("cannot restore a zero joint guarantee")
-        if releases < 1:
-            raise ValidationError(
-                f"restored state must summarize >= 1 release(s), "
-                f"got {releases}"
-            )
-        current = self.cumulative_alpha
-        self._entries.append(
-            LedgerEntry(
-                label=label,
-                alpha=Fraction(cumulative) / current,
-                cumulative_alpha=Fraction(cumulative),
-            )
-        )
-        self._restored += releases - 1
-
-    def try_charge(self, alpha, *, label: str = "release") -> bool:
-        """Charge-or-reject: record the release iff it fits the floor.
-
-        The refusal-as-value twin of :meth:`charge` for serving paths
-        that treat a rejection as flow control (an HTTP 429) rather than
-        an exception. Returns ``True`` when the release was recorded.
-        """
-        try:
-            self.charge(alpha, label=label)
-        except BudgetExceededError:
-            return False
-        return True
-
     def report(self) -> str:
         """A plain-text statement of the ledger."""
         lines = [
@@ -208,53 +172,10 @@ class PrivacyLedger:
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        return len(self._entries) + self._restored
+        return len(self._entries)
 
     def __repr__(self) -> str:
         return (
             f"<PrivacyLedger entries={len(self._entries)} "
-            f"cumulative={self.cumulative_alpha} floor={self.floor}>"
-        )
-
-
-class ConcurrentPrivacyLedger(PrivacyLedger):
-    """A :class:`PrivacyLedger` safe under concurrent charging.
-
-    The base class's :meth:`~PrivacyLedger.charge` is already atomic
-    *within* one thread, but a serving process charges from many places
-    at once: worker threads, executor pools, and asyncio handlers that
-    must never interleave a ``can_afford`` check with someone else's
-    ``charge`` between their check and their append. This subclass
-    serializes the read-modify-write under one lock, so the invariant
-
-        ``cumulative_alpha >= floor``  (after every successful charge)
-
-    holds no matter how many racers call :meth:`charge` /
-    :meth:`try_charge` simultaneously — over-admission (two racers both
-    passing ``can_afford`` for the last budget slot) is impossible.
-
-    asyncio-safety note: a single event loop never preempts between the
-    check and the append, so the lock is uncontended there; it exists for
-    threads, and it is deliberately *not* an ``asyncio.Lock`` so the same
-    ledger object can be shared by loops and threads alike. The lock is
-    never held across anything blocking — charging is pure arithmetic.
-    """
-
-    def __init__(self, floor=0) -> None:
-        super().__init__(floor)
-        self._lock = threading.Lock()
-
-    def charge(self, alpha, *, label: str = "release") -> None:
-        with self._lock:
-            super().charge(alpha, label=label)
-
-    def restore(self, cumulative, *, label: str = "recovered",
-                releases: int = 1) -> None:
-        with self._lock:
-            super().restore(cumulative, label=label, releases=releases)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ConcurrentPrivacyLedger entries={len(self._entries)} "
             f"cumulative={self.cumulative_alpha} floor={self.floor}>"
         )

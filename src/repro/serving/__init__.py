@@ -31,7 +31,6 @@ from .overload import (
     AdmissionController,
     ShedDecision,
     WALCircuitBreaker,
-    memory_overlay,
 )
 from .server import MechanismServer
 from .supervisor import ServingSupervisor, make_listen_socket
@@ -49,7 +48,6 @@ __all__ = [
     "AdmissionController",
     "ShedDecision",
     "WALCircuitBreaker",
-    "memory_overlay",
     "WAL_FAILURE_POLICIES",
     "DEGRADED_MODES",
     "fallback_spec",

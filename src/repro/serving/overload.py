@@ -31,21 +31,23 @@ received. This module keeps the failure modes principled:
     against a charge that cannot be made durable. Availability degrades,
     durability does not.
   - ``"memory"`` (``--wal-failure-policy memory-mode-with-alarm``) —
-    charging continues against a :func:`memory_overlay` of the ledger
-    (seeded from the in-process books, so the floor keeps binding
-    exactly where it stood), and every response is marked
+    the ledger book goes volatile
+    (:meth:`~repro.release.durable_ledger.DurableLedger.go_volatile`):
+    it keeps charging in memory, so the per-user floor keeps binding
+    exactly where it stood, and every response is marked
     ``"durability": "volatile"`` while ``/healthz``, ``/metrics`` and a
     tracer event raise the alarm. Availability is preserved; the
     downgrade is loud by construction — there is deliberately no silent
     third policy.
 
-  Either way the breaker half-opens after ``cooldown`` seconds and
-  probes recovery (:meth:`~repro.release.durable_ledger.DurableLedger.probe`
-  on a freshly opened ledger); on success the server swaps back to the
-  durable book, and a memory-mode overlay's volatile charges are
-  **backfilled** into the recovered journal first (as one combined
-  ``backfill`` charge per user), so the volatile window narrows to
-  exactly the outage and no admitted charge is ever forgotten.
+  Either way the breaker half-opens after ``cooldown`` seconds and the
+  book probes recovery itself
+  (:meth:`~repro.release.durable_ledger.DurableLedger.recover`: reopen
+  the WAL, reload, probe). A volatile book then **backfills** its queued
+  outage charges into the journal (one ``backfill`` charge per user)
+  together with the outage's idempotency entries, so the volatile
+  window narrows to exactly the outage, no admitted charge is ever
+  forgotten, and a retried request replays instead of re-charging.
 
 Everything here is stdlib-only and synchronous: the controller runs on
 the event-loop thread (one check, no locks) and the breaker's state
@@ -58,14 +60,12 @@ import time
 from dataclasses import dataclass
 
 from ..exceptions import ValidationError
-from ..release.durable_ledger import MemoryLedgerBook
 
 __all__ = [
     "AdmissionController",
     "ShedDecision",
     "WALCircuitBreaker",
     "WAL_FAILURE_POLICIES",
-    "memory_overlay",
 ]
 
 #: WAL-failure policies (CLI spellings map onto the short names).
@@ -251,31 +251,6 @@ class AdmissionController:
             "brownout": self._browned_out,
             **self.stats,
         }
-
-
-def memory_overlay(book) -> MemoryLedgerBook:
-    """A volatile ledger book seeded from ``book``'s in-process state.
-
-    Used by the ``memory`` WAL-failure policy: the overlay starts from
-    the exact cumulative guarantees the durable book last held (which
-    includes any charges whose fsync failed — ambiguity over-protects),
-    so the per-user floor keeps binding across the durability outage.
-    Completed idempotency-replay entries ride along so retries of
-    already-released responses still replay instead of re-charging.
-    """
-    overlay = MemoryLedgerBook(
-        book.floor, telemetry=getattr(book, "telemetry", None)
-    )
-    for user, ledger in book._books.items():
-        if len(ledger) == 0:
-            continue
-        overlay.book(user).restore(
-            ledger.cumulative_alpha, label="wal-outage-overlay",
-            releases=len(ledger),
-        )
-    for idem, entry in book._replay.items():
-        overlay._replay.put(idem, dict(entry))
-    return overlay
 
 
 class WALCircuitBreaker:

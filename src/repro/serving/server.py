@@ -19,8 +19,8 @@ has already *proved*:
   (:class:`~repro.serving.batching.MicroBatcher`) into fused
   :class:`~repro.sampling.alias.HeterogeneousAliasSampler` gathers —
   mixed ``n``/``alpha`` deployments in one numpy tick;
-* every release is charged to the requesting user's
-  :class:`~repro.release.ledger.ConcurrentPrivacyLedger` *before*
+* every release is charged to the requesting user's budget in one
+  :class:`~repro.release.durable_ledger.MemoryLedgerBook` *before*
   sampling; exceeding the per-user floor is an HTTP 429, and the
   charge-or-reject is atomic so racers can never overspend. With
   ``ledger_dir=`` the book is a crash-safe
@@ -37,6 +37,11 @@ has already *proved*:
   replays the accumulated counts against the independently re-derived
   geometric law — the last line of defense against a kernel tampered
   *after* load-time verification.
+
+When the WAL stops persisting, the circuit breaker
+(:mod:`repro.serving.overload`) either refuses charges or, under the
+memory policy, turns the same book volatile; its half-open probe asks
+the book to recover, which also backfills the outage's charges.
 
 Transport is stdlib-only: HTTP/1.1 (keep-alive) on
 :func:`asyncio.start_server` for real sockets (``curl``-able), plus the
@@ -105,13 +110,12 @@ from ..release.durable_ledger import (
     LedgerUnavailableError,
     MemoryLedgerBook,
 )
-from ..release.ledger import ConcurrentPrivacyLedger
 from ..sampling.alias import HeterogeneousAliasSampler
 from ..sampling.rng import ensure_generator
 from .audit import OnlineAuditor
 from .batching import MicroBatcher
 from .fallback import DEGRADED_MODES, resolve_fallbacks
-from .overload import AdmissionController, WALCircuitBreaker, memory_overlay
+from .overload import AdmissionController, WALCircuitBreaker
 
 __all__ = ["MechanismServer"]
 
@@ -272,9 +276,6 @@ class MechanismServer:
     worker_id:
         Fleet slot label (set by the supervisor) echoed in
         ``/healthz``/``/readyz`` responses.
-    ledger_factory:
-        Zero-arg callable building a replacement durable ledger for
-        breaker recovery probes; defaults to re-opening ``ledger_dir``.
     """
 
     def __init__(
@@ -305,7 +306,6 @@ class MechanismServer:
         wal_failure_policy: str = "reject",
         breaker_cooldown: float = 1.0,
         worker_id=None,
-        ledger_factory=None,
     ) -> None:
         self.store = resolve_artifact_store(store)
         if self.store is None:
@@ -364,7 +364,7 @@ class MechanismServer:
                 telemetry=obs,
             )
         else:
-            self.ledgers = MemoryLedgerBook(floor, telemetry=obs)
+            self.ledgers = MemoryLedgerBook(floor)
         if degraded not in DEGRADED_MODES:
             raise ValidationError(
                 f"degraded mode must be one of {DEGRADED_MODES}, got "
@@ -386,15 +386,6 @@ class MechanismServer:
         self.breaker = WALCircuitBreaker(
             policy=policy, cooldown=breaker_cooldown
         )
-        if ledger_factory is None and ledger is None and ledger_dir is not None:
-            def ledger_factory():
-                return DurableLedger(
-                    ledger_dir, floor, fsync=ledger_fsync,
-                    faults=self.faults, telemetry=obs,
-                )
-        self._ledger_factory = ledger_factory
-        self._wal_overlay = None
-        self._failed_ledger = None
         self._spec_cache: dict[tuple, tuple[str, Fraction] | None] = {}
         self.auditor = OnlineAuditor(
             rate=audit_rate, rng=audit_seed
@@ -523,10 +514,6 @@ class MechanismServer:
     def deployments(self) -> tuple[_Deployment, ...]:
         return tuple(self._deployments.values())
 
-    def ledger(self, user: str) -> ConcurrentPrivacyLedger:
-        """The (created-on-first-use) ledger accounting for ``user``."""
-        return self.ledgers.book(user)
-
     # -- the fused execution tick --------------------------------------
     def _execute(self, tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
         obs = self._obs
@@ -553,10 +540,9 @@ class MechanismServer:
                 # but cannot be proven durable, so the responses are
                 # withheld (over-protects the users, never under).
                 raise
-            # Memory policy: the overlay (seeded from the failed book's
-            # in-process state, which includes this batch's charges)
-            # keeps the floor binding; the batch releases marked
-            # volatile.
+            # Memory policy: the book went volatile with this batch's
+            # charges already counted, so the floor keeps binding; the
+            # batch releases marked volatile.
         admission = self.admission
         if admission is not None and admission.brownout:
             # Brownout: shed our own optional work before any more user
@@ -873,7 +859,7 @@ class MechanismServer:
         obs = self._obs
         # WAL circuit breaker: while open, "reject" refuses the charge
         # outright (503 + Retry-After, nothing spent, nothing released)
-        # and "memory" charges the alarm-marked volatile overlay. The
+        # and "memory" charges the volatile book, alarm-marked. The
         # half-open probe piggybacks on request arrival — no timer task.
         breaker = self.breaker
         if breaker.open:
@@ -892,6 +878,7 @@ class MechanismServer:
         # ``trace_ctx`` rides in from the sampling decision in
         # ``publish``: untraced requests (the vast majority at low
         # sampling rates) carry ``None`` and skip all span machinery.
+        label = f"serve:{key[:12]}"
         try:
             # Atomic charge-or-reject: budget is committed (and, for a
             # durable book, journaled) before the draw, so a crash
@@ -900,23 +887,15 @@ class MechanismServer:
             if trace_ctx is not None:
                 with obs.tracer.span("ledger.charge", user=user):
                     decision = self.ledgers.charge(
-                        user, alpha, label=f"serve:{key[:12]}", idem=idem
+                        user, alpha, label=label, idem=idem
                     )
             else:
                 decision = self.ledgers.charge(
-                    user, alpha, label=f"serve:{key[:12]}", idem=idem
+                    user, alpha, label=label, idem=idem
                 )
         except LedgerUnavailableError as err:
             self._trip_wal(str(err))
-            if breaker.policy == "memory":
-                # _trip_wal swapped self.ledgers to the volatile overlay
-                # (seeded with the exact floors the durable book last
-                # enforced); the charge retries there and the response
-                # will be marked "durability": "volatile".
-                decision = self.ledgers.charge(
-                    user, alpha, label=f"serve:{key[:12]}", idem=idem
-                )
-            else:
+            if breaker.policy != "memory":
                 self.metrics["ledger_unavailable"] += 1
                 return 503, {
                     "error": f"privacy ledger unavailable: {err}; the "
@@ -924,6 +903,10 @@ class MechanismServer:
                     "released",
                     "retry_after": round(breaker.retry_after(), 4),
                 }
+            # _trip_wal made the book volatile (the floors it last
+            # enforced keep binding); the charge retries in memory and
+            # the response is marked "durability": "volatile".
+            decision = self.ledgers.charge(user, alpha, label=label, idem=idem)
         if obs is not None:
             self._outcome_counts[decision.outcome] += 1
         if decision.outcome == "replayed":
@@ -1008,15 +991,16 @@ class MechanismServer:
     def _trip_wal(self, reason: str) -> None:
         """A persistence failure: open the breaker, loudly.
 
-        Under the ``memory`` policy this also swaps the serving book to
-        a volatile :func:`~repro.serving.overload.memory_overlay` seeded
-        from the failed durable book's in-process state — the per-user
-        floor keeps binding exactly where it stood (fsync-ambiguous
-        charges count as spent: over-protects).
+        Under the ``memory`` policy the book also goes volatile: it
+        keeps charging in memory from the exact budgets it last enforced
+        (fsync-ambiguous charges count as spent: over-protects) and
+        queues the outage for backfill.
         """
         breaker = self.breaker
         was_open = breaker.open
         breaker.trip(reason)
+        if breaker.policy == "memory":
+            self.ledgers.go_volatile()
         if not was_open:
             obs = self._obs
             if obs is not None:
@@ -1026,79 +1010,24 @@ class MechanismServer:
                 obs.tracer.event(
                     "wal.breaker-open", policy=breaker.policy, reason=reason
                 )
-            if breaker.policy == "memory" and self._wal_overlay is None:
-                self._failed_ledger = self.ledgers
-                self._wal_overlay = memory_overlay(self.ledgers)
-                self.ledgers = self._wal_overlay
 
-    def _recover_wal(self) -> bool:
-        """Half-open probe: try to restore durable charging.
-
-        Opens a fresh ledger via ``ledger_factory`` and demands a
-        successful end-to-end :meth:`~repro.release.durable_ledger.
-        DurableLedger.probe` (append + unconditional fsync). On success
-        any volatile overlay charges are backfilled into the recovered
-        journal first, then the serving book swaps back. On failure the
-        breaker re-arms for another cooldown.
+    def _recover_wal(self) -> None:
+        """Half-open probe: the book reopens its WAL, reloads, probes
+        with an append plus an unconditional fsync, and backfills any
+        volatile outage (see
+        :meth:`~repro.release.durable_ledger.DurableLedger.recover`). On
+        failure the breaker re-arms for another cooldown.
         """
-        breaker = self.breaker
-        factory = self._ledger_factory
-        if factory is None:
-            return False
-        fresh = None
         try:
-            fresh = factory()
-            fresh.probe()
-            overlay = self._wal_overlay
-            if overlay is not None:
-                self._backfill(fresh, overlay)
+            self.ledgers.recover()
         except Exception as err:  # noqa: BLE001 - probing must not crash
-            if fresh is not None:
-                with contextlib.suppress(Exception):
-                    fresh.close()
-            breaker.trip(f"recovery probe failed: {err}")
-            return False
-        failed = (
-            self._failed_ledger
-            if self._failed_ledger is not None
-            else self.ledgers
-        )
-        self.ledgers = fresh
-        self._wal_overlay = None
-        self._failed_ledger = None
-        if failed is not None and failed is not fresh:
-            with contextlib.suppress(Exception):
-                failed.close()
-        breaker.reset()
+            self.breaker.trip(f"recovery probe failed: {err}")
+            return
+        self.breaker.reset()
         obs = self._obs
         if obs is not None:
             obs.breaker_trips.labels("recover").inc()
             obs.tracer.event("wal.breaker-recovered")
-        return True
-
-    @staticmethod
-    def _backfill(fresh, overlay) -> None:
-        """Migrate the outage's volatile charges into the recovered WAL.
-
-        Per user, the overlay's cumulative guarantee divided by the
-        recovered one is exactly the product of the alphas charged while
-        the disk was gone; journaling it as one combined ``backfill``
-        charge lands the durable floor maths precisely where the overlay
-        held it. Always affordable — the overlay enforced the same
-        floor. Volatile replay entries are deliberately not migrated: a
-        retry downgrades from "replayed" to "pending" (re-sample, never
-        re-charge).
-        """
-        for user, book in overlay._books.items():
-            view = fresh.view(user)
-            fresh_cum = Fraction(
-                1 if view is None else view.cumulative_alpha
-            )
-            delta = Fraction(book.cumulative_alpha) / fresh_cum
-            if delta >= 1:
-                continue
-            fresh.charge(user, delta, label="backfill:wal-outage")
-        fresh.sync()
 
     # -- readiness ------------------------------------------------------
     def readiness(self) -> tuple[bool, list[str]]:
@@ -1312,7 +1241,7 @@ class MechanismServer:
             except ValueError:
                 return 400, {"error": "limit must be an integer"}
             return 200, {
-                "users": self.ledgers.users(),
+                "users": len(rows),
                 "floor_proximity": floor_proximity(rows),
                 "rows": [row.to_dict() for row in rows[:limit]],
             }
@@ -1344,82 +1273,45 @@ class MechanismServer:
     async def _serve_connection(self, reader, writer) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
                 try:
-                    method, target, _version = (
-                        request_line.decode("latin-1").split()
+                    head = await self._read_head(reader)
+                except ValueError as err:
+                    # Malformed framing (an over-long line, a bad or
+                    # oversized Content-Length): where the next request
+                    # would start is unknown, so answer 400 and close.
+                    self.metrics["bad_request"] += 1
+                    await self._respond(
+                        writer, 400, {"error": f"malformed request: {err}"},
+                        keep_alive=False,
                     )
-                except ValueError:
                     break
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
-                status = None
-                if length > _MAX_BODY:
-                    status, response = 400, {"error": "request body too large"}
-                    length = 0
+                if head is None:
+                    break
+                method, target, headers, length = head
                 body = await reader.readexactly(length) if length else b""
+                status = None
+                payload = None
+                if body:
+                    try:
+                        payload = json.loads(body)
+                        if not isinstance(payload, dict):
+                            raise ValueError("body must be an object")
+                    except ValueError as err:
+                        self.metrics["bad_request"] += 1
+                        status, response = 400, {
+                            "error": f"malformed JSON body: {err}"
+                        }
                 if status is None:
-                    payload = None
-                    if body:
-                        try:
-                            payload = json.loads(body)
-                            if not isinstance(payload, dict):
-                                raise ValueError("body must be an object")
-                        except ValueError as err:
-                            payload = None
-                            status, response = 400, {
-                                "error": f"malformed JSON body: {err}"
-                            }
-                    if status is None:
-                        status, response = await self.handle_request(
-                            method, target, payload, headers
-                        )
-                if isinstance(response, dict) and "__raw__" in response:
-                    # A content-negotiated raw-text response (the
-                    # Prometheus exposition) — serve it verbatim.
-                    data = response["__raw__"].encode("utf-8")
-                    content_type = response.get(
-                        "__content_type__", "text/plain; charset=utf-8"
+                    status, response = await self.handle_request(
+                        method, target, payload, headers
                     )
-                else:
-                    data = json.dumps(response).encode("utf-8")
-                    content_type = "application/json"
                 keep_alive = (
                     headers.get("connection", "keep-alive").lower()
                     != "close"
                 ) and not self._draining
-                # Backpressure hint: shed/breaker responses carry a
-                # retry_after estimate; surface it as a real Retry-After
-                # header (fractional seconds) so plain HTTP clients can
-                # pace themselves without parsing the body.
-                retry_after = (
-                    response.get("retry_after")
-                    if status in (429, 503) and isinstance(response, dict)
-                    else None
+                await self._respond(
+                    writer, status, response, keep_alive=keep_alive
                 )
-                retry_header = (
-                    f"Retry-After: {max(0.0, float(retry_after)):.3f}\r\n"
-                    if isinstance(retry_after, (int, float))
-                    else ""
-                )
-                head = (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{retry_header}"
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}"
-                    f"\r\n\r\n"
-                )
-                writer.write(head.encode("latin-1") + data)
-                await writer.drain()
                 if not keep_alive:
                     break
         except (
@@ -1434,6 +1326,72 @@ class MechanismServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+
+    @staticmethod
+    async def _read_head(reader):
+        """Read one request head as ``(method, target, headers, body
+        length)``; ``None`` at end of stream. Raises ``ValueError`` for
+        malformed framing — the stream reader itself raises it for a
+        line past its 64 KiB limit."""
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) != 3:
+            raise ValueError("the request line is not METHOD TARGET VERSION")
+        headers = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(
+                f"Content-Length must be a non-negative integer, got "
+                f"{length[:32]!r}"
+            )
+        if int(length) > _MAX_BODY:
+            raise ValueError("request body too large")
+        return parts[0], parts[1], headers, int(length)
+
+    @staticmethod
+    async def _respond(writer, status, response, *, keep_alive) -> None:
+        if isinstance(response, dict) and "__raw__" in response:
+            # A content-negotiated raw-text response (the Prometheus
+            # exposition) — serve it verbatim.
+            data = response["__raw__"].encode("utf-8")
+            content_type = response.get(
+                "__content_type__", "text/plain; charset=utf-8"
+            )
+        else:
+            data = json.dumps(response).encode("utf-8")
+            content_type = "application/json"
+        # Backpressure hint: shed/breaker responses carry a retry_after
+        # estimate; surface it as a real Retry-After header (fractional
+        # seconds) so plain HTTP clients can pace themselves without
+        # parsing the body.
+        retry_after = (
+            response.get("retry_after")
+            if status in (429, 503) and isinstance(response, dict)
+            else None
+        )
+        retry_header = (
+            f"Retry-After: {max(0.0, float(retry_after)):.3f}\r\n"
+            if isinstance(retry_after, (int, float))
+            else ""
+        )
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"{retry_header}"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}"
+            f"\r\n\r\n"
+        )
+        writer.write(head.encode("latin-1") + data)
+        await writer.drain()
 
     async def start(
         self, host: str = "127.0.0.1", port: int = 0, *, sock=None
@@ -1495,19 +1453,7 @@ class MechanismServer:
         # queries; flush again before failing anything still pending.
         self.batcher.flush(reason="close")
         self.batcher.close()
-        try:
-            self.ledgers.sync()
-        except LedgerUnavailableError:
-            pass  # already as durable as it will get; close regardless
-        self.ledgers.close()
-        # A WAL outage may have left the failed durable book (and its
-        # flock handle) parked behind the overlay; release it too.
-        if (
-            self._failed_ledger is not None
-            and self._failed_ledger is not self.ledgers
-        ):
-            with contextlib.suppress(Exception):
-                self._failed_ledger.close()
+        self.ledgers.close()  # fsyncs whatever the last batch journaled
         if self._obs is not None:
             # Flush the span log; close it only if this server built the
             # telemetry (a shared Telemetry may outlive one server).

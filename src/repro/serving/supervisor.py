@@ -625,7 +625,6 @@ def _build_worker_server(config: dict):
     faults_cfg = config.get("faults") or {}
     faults = None
     ledger = None
-    ledger_factory = None
     floor = Fraction(config["floor"]) if config.get("floor") else 0
     ledger_dir = config.get("ledger_dir")
     ledger_fsync = config.get("ledger_fsync", "group")
@@ -633,22 +632,17 @@ def _build_worker_server(config: dict):
     if storm and ledger_dir:
         # The wal.fsync-storm fleet fault: this worker's WAL rides a
         # FaultyFS armed to fail a burst of fsyncs. The breaker must
-        # open; once the storm exhausts, a recovery probe through the
-        # same seam succeeds.
+        # open; once the storm exhausts, the book's recovery probe
+        # through the same seam succeeds.
         faults = FaultInjector()
         fsync_storm(
             faults,
             after=int(storm.get("after", 0)),
             times=int(storm.get("times", 3)),
         )
-        fs = FaultyFS(faults)
-
-        def ledger_factory():
-            return DurableLedger(
-                ledger_dir, floor, fsync=ledger_fsync, fs=fs
-            )
-
-        ledger = ledger_factory()
+        ledger = DurableLedger(
+            ledger_dir, floor, fsync=ledger_fsync, fs=FaultyFS(faults)
+        )
     kwargs = dict(
         store=config["store"],
         floor=floor,
@@ -670,7 +664,6 @@ def _build_worker_server(config: dict):
         kwargs["telemetry"] = False
     if ledger is not None:
         kwargs["ledger"] = ledger
-        kwargs["ledger_factory"] = ledger_factory
     elif ledger_dir:
         kwargs["ledger_dir"] = ledger_dir
         kwargs["ledger_fsync"] = ledger_fsync

@@ -23,15 +23,16 @@ from fractions import Fraction
 import pytest
 
 from repro.exceptions import ReproError, ValidationError
+from repro.obs.budget import burn_rows_from_book
 from repro.release.durable_ledger import (
     FSYNC_MODES,
     DurableLedger,
     LedgerCorruptionError,
     LedgerUnavailableError,
     MemoryLedgerBook,
+    _encode_record,
     verify_ledger_dir,
 )
-from repro.release.ledger import ConcurrentPrivacyLedger, PrivacyLedger
 from repro.serving.faults import FaultInjector, FaultyFS, InjectedCrash
 
 HALF = Fraction(1, 2)
@@ -45,35 +46,6 @@ def ledger_dir(tmp_path):
 
 def reopen(ledger_dir, **kwargs):
     return DurableLedger(ledger_dir, **kwargs)
-
-
-class TestRestore:
-    def test_restore_sets_exact_cumulative(self):
-        ledger = PrivacyLedger(floor=Fraction(1, 16))
-        ledger.restore(Fraction(3, 7))
-        assert ledger.cumulative_alpha == Fraction(3, 7)
-        assert len(ledger) == 1
-
-    def test_restore_summarizing_many_releases_keeps_len_truthful(self):
-        ledger = ConcurrentPrivacyLedger(floor=0)
-        ledger.restore(Fraction(1, 8), releases=3)
-        assert len(ledger) == 3
-        ledger.charge(HALF)
-        assert len(ledger) == 4
-        assert ledger.cumulative_alpha == Fraction(1, 16)
-
-    def test_restore_may_sit_at_the_floor(self):
-        ledger = PrivacyLedger(floor=Fraction(1, 8))
-        ledger.restore(Fraction(1, 8))
-        assert ledger.cumulative_alpha == ledger.floor
-        assert not ledger.can_afford(HALF)
-
-    def test_restore_rejects_nonsense(self):
-        ledger = PrivacyLedger()
-        with pytest.raises(ValidationError):
-            ledger.restore(0)
-        with pytest.raises(ValidationError):
-            ledger.restore(HALF, releases=0)
 
 
 class TestDurableRoundtrip:
@@ -124,6 +96,191 @@ class TestDurableRoundtrip:
         with pytest.raises(ReproError, match="fsync"):
             DurableLedger(ledger_dir, fsync="sometimes")
         assert set(FSYNC_MODES) == {"always", "group", "off"}
+
+    def test_floor_of_one_refused_before_anything_is_persisted(
+        self, ledger_dir
+    ):
+        with pytest.raises(ValidationError, match="absolute privacy"):
+            MemoryLedgerBook(1)
+        with pytest.raises(ValidationError, match="absolute privacy"):
+            DurableLedger(ledger_dir, 1)
+        assert not ledger_dir.exists()
+
+
+class TestCompactState:
+    """Per-user state is ``(cum, releases, last_alpha)`` and only an
+    admitted charge creates it."""
+
+    def test_rejected_first_charge_creates_no_state(self):
+        book = MemoryLedgerBook(QUARTER)
+        decision = book.charge("x", Fraction(1, 8))
+        assert decision.outcome == "rejected"
+        assert decision.cumulative_alpha == 1
+        assert decision.remaining_alpha == QUARTER
+        assert book.view("x") is None
+        assert book.users() == 0
+        assert book.budgets() == []
+
+    def test_rejection_then_compaction_reopens(self, ledger_dir):
+        ledger = DurableLedger(ledger_dir, QUARTER, snapshot_every=2)
+        assert ledger.charge("x", Fraction(1, 8)).outcome == "rejected"
+        ledger.charge("u", HALF)
+        ledger.charge("u", HALF)  # second append: auto-compaction
+        assert ledger.stats()["compactions"] == 1
+        live = (ledger.users(), ledger.budgets(), ledger.view("x"))
+        ledger.close()
+        assert verify_ledger_dir(ledger_dir)["ok"]
+        back = reopen(ledger_dir)
+        assert (back.users(), back.budgets(), back.view("x")) == live
+        back.close()
+
+    def test_zero_release_snapshot_entries_are_skipped(self, ledger_dir):
+        # A snapshot as written by a compaction after a rejected first
+        # charge: an empty entry for "x" next to a real one for "u".
+        DurableLedger(ledger_dir, QUARTER).close()
+        (ledger_dir / "snapshot.json").write_bytes(_encode_record({
+            "version": 1, "seq": 3, "floor": "1/4", "replay": {},
+            "users": {"x": {"cum": "1", "releases": 0},
+                      "u": {"cum": "1/4", "releases": 2}},
+        }))
+        back = reopen(ledger_dir)
+        assert back.view("x") is None
+        assert back.users() == 1
+        budget = back.view("u")
+        assert (budget.cumulative_alpha, budget.releases) == (QUARTER, 2)
+        assert back.charge("x", HALF).outcome == "charged"
+        back.close()
+
+    def test_budgets_read_carries_last_alpha(self, ledger_dir):
+        ledger = DurableLedger(ledger_dir, Fraction(1, 64))
+        ledger.charge("a", QUARTER)
+        ledger.charge("a", HALF)
+        ledger.charge("b", Fraction(3, 4))
+        budgets = {b.user: b for b in ledger.budgets()}
+        assert budgets["a"].last_alpha == HALF
+        assert budgets["a"].cumulative_alpha == Fraction(1, 8)
+        assert budgets["a"].remaining_alpha == Fraction(1, 8)
+        assert budgets["b"].last_alpha == Fraction(3, 4)
+        ledger.compact()
+        ledger.close()
+        # After compaction only the total survives.
+        back = reopen(ledger_dir)
+        assert back.view("a").last_alpha is None
+        assert back.view("a").releases == 2
+        back.close()
+
+
+class TestVolatileMode:
+    """The WAL breaker's memory policy as a state of the book."""
+
+    def test_floor_and_replays_bind_while_volatile(self, ledger_dir):
+        book = DurableLedger(ledger_dir, HALF ** 3)
+        book.charge("alice", HALF, idem="a-1")
+        book.charge("alice", HALF)
+        book.charge("bob", HALF)
+        book.record_result("a-1", 200, {"value": 5})
+        book.go_volatile()
+        size = os.path.getsize(ledger_dir / "wal.jsonl")
+        assert book.view("alice").cumulative_alpha == HALF ** 2
+        assert book.view("bob").cumulative_alpha == HALF
+        # The floor keeps binding exactly where it stood.
+        assert book.charge("alice", HALF).outcome == "charged"
+        assert book.charge("alice", HALF).outcome == "rejected"
+        decision = book.charge("alice", HALF, idem="a-1")
+        assert decision.outcome == "replayed"
+        assert decision.replay == (200, {"value": 5})
+        book.sync()  # nothing durable to commit
+        with pytest.raises(LedgerUnavailableError, match="volatile"):
+            book.compact()
+        # Nothing reached the journal while volatile.
+        assert os.path.getsize(ledger_dir / "wal.jsonl") == size
+        book.close()
+
+    def test_burn_rows_keep_the_last_charged_alpha(self, ledger_dir):
+        book = DurableLedger(ledger_dir, HALF ** 8)
+        for _ in range(3):
+            book.charge("v", HALF)
+        book.go_volatile()
+        (row,) = burn_rows_from_book(book)
+        assert row.cumulative_alpha == Fraction(1, 8)
+        assert row.last_alpha == HALF
+        assert row.remaining_charges == 5
+        book.close()
+
+    def test_recover_backfills_the_outage(self, ledger_dir):
+        book = DurableLedger(ledger_dir, HALF ** 8, fsync="group")
+        book.charge("u", HALF)
+        book.go_volatile()
+        book.charge("u", HALF)
+        book.charge("u", HALF)
+        book.charge("w", QUARTER)
+        book.recover()
+        assert book.view("u").cumulative_alpha == HALF ** 3
+        back = reopen(ledger_dir)
+        assert back.view("u").cumulative_alpha == HALF ** 3
+        assert back.view("w").cumulative_alpha == QUARTER
+        # One backfill record per queued user.
+        assert back.view("u").releases == 2
+        assert back.budgets() == book.budgets()
+        assert verify_ledger_dir(ledger_dir)["ok"]
+        back.close()
+        # Durable again: the next charge is journaled.
+        book.charge("u", HALF)
+        book.close()
+        back = reopen(ledger_dir)
+        assert back.view("u").cumulative_alpha == HALF ** 4
+        back.close()
+
+    def test_sibling_charges_during_the_outage_are_kept(self, ledger_dir):
+        a = DurableLedger(ledger_dir, HALF ** 8)
+        a.charge("u", HALF)
+        a.go_volatile()
+        a.charge("u", HALF)
+        b = DurableLedger(ledger_dir)
+        assert b.charge("u", HALF).cumulative_alpha == QUARTER
+        b.close()
+        a.recover()
+        a.close()
+        back = reopen(ledger_dir)
+        budget = back.view("u")
+        assert (budget.cumulative_alpha, budget.releases) == (HALF ** 3, 3)
+        back.close()
+
+    def test_outage_keys_replay_or_resolve_pending(self, ledger_dir):
+        book = DurableLedger(ledger_dir, HALF ** 8)
+        book.go_volatile()
+        book.charge("u", HALF, idem="served")
+        book.record_result("served", 200, {"value": 3})
+        book.charge("u", HALF, idem="lost")  # response never recorded
+        book.recover()
+        book.close()
+        back = reopen(ledger_dir)
+        replay = back.charge("u", HALF, idem="served")
+        assert replay.outcome == "replayed"
+        assert replay.replay == (200, {"value": 3})
+        assert back.charge("u", HALF, idem="lost").outcome == "pending"
+        assert back.view("u").cumulative_alpha == QUARTER
+        back.close()
+
+    def test_failed_recovery_stays_volatile(self, ledger_dir):
+        DurableLedger(ledger_dir, HALF ** 8).close()
+        faults = FaultInjector().fail_at("fs.fsync", times=2)
+        book = DurableLedger(
+            ledger_dir, HALF ** 8, fs=FaultyFS(faults), faults=faults
+        )
+        book.go_volatile()
+        book.charge("u", HALF, idem="k")
+        with pytest.raises(LedgerUnavailableError):
+            book.recover()
+        # Still volatile, the queue intact and the floor binding.
+        assert book.view("u").cumulative_alpha == HALF
+        assert book.charge("u", HALF, idem="k").outcome == "pending"
+        book.recover()  # the storm is over
+        book.close()
+        back = reopen(ledger_dir)
+        assert back.view("u").cumulative_alpha == HALF
+        assert back.charge("u", HALF, idem="k").outcome == "pending"
+        back.close()
 
 
 class TestIdempotency:
@@ -282,8 +439,6 @@ class TestRecovery:
         record = json.loads(wal.read_bytes())
         record["cum"] = "1/3"  # inconsistent with alpha product
         del record["crc"]
-        from repro.release.durable_ledger import _encode_record
-
         wal.write_bytes(_encode_record(record))
         report = verify_ledger_dir(ledger_dir)
         assert not report["ok"]

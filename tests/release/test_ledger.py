@@ -1,17 +1,15 @@
 """Tests for the privacy-budget ledger."""
 
 import math
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.release.ledger import (
-    BudgetExceededError,
-    ConcurrentPrivacyLedger,
-    PrivacyLedger,
-)
+from repro.release.durable_ledger import MemoryLedgerBook
+from repro.release.ledger import BudgetExceededError, PrivacyLedger
 
 
 class TestConstruction:
@@ -99,27 +97,33 @@ class TestEnforcement:
         assert ledger.cumulative_alpha == Fraction(1, 1024)
 
 
-class TestTryCharge:
-    def test_returns_true_and_records(self):
-        ledger = PrivacyLedger(floor=Fraction(1, 4))
-        assert ledger.try_charge(Fraction(1, 2))
-        assert ledger.cumulative_alpha == Fraction(1, 2)
+class TestConcurrentBook:
+    """Threads racing one user's budget through ``MemoryLedgerBook``."""
 
-    def test_returns_false_without_recording(self):
-        ledger = PrivacyLedger(floor=Fraction(1, 4))
-        ledger.charge(Fraction(1, 2))
-        assert not ledger.try_charge(Fraction(1, 3))
-        assert ledger.cumulative_alpha == Fraction(1, 2)
-        assert len(ledger) == 1
+    @staticmethod
+    def race(book, chunks):
+        outcomes = []
+        barrier = threading.Barrier(len(chunks))
 
+        def racer(chunk):
+            barrier.wait()
+            for alpha in chunk:
+                outcomes.append((alpha, book.charge("racer", alpha).charged))
 
-class TestConcurrentLedger:
-    def test_is_a_ledger(self):
-        ledger = ConcurrentPrivacyLedger(floor=Fraction(1, 4))
-        ledger.charge(Fraction(1, 2))
-        with pytest.raises(BudgetExceededError):
-            ledger.charge(Fraction(1, 3))
-        assert ledger.cumulative_alpha == Fraction(1, 2)
+        threads = [
+            threading.Thread(target=racer, args=(chunk,)) for chunk in chunks
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return outcomes
 
     def test_racers_never_overspend_floor(self):
         # Floor (1/2)^K admits exactly K successful alpha=1/2 charges;
@@ -127,49 +131,28 @@ class TestConcurrentLedger:
         # accounting must admit exactly K of them no matter the
         # interleaving.
         K = 16
-        ledger = ConcurrentPrivacyLedger(floor=Fraction(1, 2) ** K)
-        outcomes = []
-        barrier = threading.Barrier(8)
-
-        def racer():
-            barrier.wait()
-            for _ in range(K):  # 8 threads x K attempts >> K slots
-                outcomes.append(ledger.try_charge(Fraction(1, 2)))
-
-        threads = [threading.Thread(target=racer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(outcomes) == K
-        assert ledger.cumulative_alpha == Fraction(1, 2) ** K
-        assert ledger.cumulative_alpha >= ledger.floor
-        assert len(ledger) == K
+        book = MemoryLedgerBook(floor=Fraction(1, 2) ** K)
+        # 8 threads x K attempts >> K slots
+        outcomes = self.race(book, [[Fraction(1, 2)] * K] * 8)
+        assert sum(charged for _, charged in outcomes) == K
+        budget = book.view("racer")
+        assert budget.cumulative_alpha == Fraction(1, 2) ** K
+        assert budget.cumulative_alpha >= book.floor
+        assert budget.releases == K
 
     def test_concurrent_mixed_alphas_respect_floor(self):
-        ledger = ConcurrentPrivacyLedger(floor=Fraction(1, 64))
+        book = MemoryLedgerBook(floor=Fraction(1, 64))
         alphas = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)] * 20
-        barrier = threading.Barrier(6)
-
-        def racer(chunk):
-            barrier.wait()
-            for alpha in chunk:
-                ledger.try_charge(alpha)
-
-        threads = [
-            threading.Thread(target=racer, args=(alphas[i::6],))
-            for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        outcomes = self.race(book, [alphas[i::6] for i in range(6)])
         # Whatever interleaving happened, the invariant held.
-        assert ledger.cumulative_alpha >= ledger.floor
+        budget = book.view("racer")
+        assert budget.cumulative_alpha >= book.floor
         product = Fraction(1)
-        for entry in ledger.entries:
-            product *= entry.alpha
-        assert product == ledger.cumulative_alpha
+        for alpha, charged in outcomes:
+            if charged:
+                product *= alpha
+        assert product == budget.cumulative_alpha
+        assert budget.releases == sum(charged for _, charged in outcomes)
 
 
 class TestReport:

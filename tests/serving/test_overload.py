@@ -13,11 +13,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.release.artifacts import ArtifactSpec, ArtifactStore
-from repro.release.durable_ledger import (
-    DurableLedger,
-    MemoryLedgerBook,
-    verify_ledger_dir,
-)
+from repro.release.durable_ledger import DurableLedger, verify_ledger_dir
 from repro.serving import (
     AdmissionController,
     FaultInjector,
@@ -27,7 +23,6 @@ from repro.serving import (
     ShedDecision,
     WALCircuitBreaker,
     fsync_storm,
-    memory_overlay,
 )
 
 HALF = Fraction(1, 2)
@@ -193,32 +188,6 @@ class TestWALCircuitBreaker:
         assert snap["state"] == "open"
         assert snap["policy"] == "reject"
         assert snap["reason"] == "EIO"
-
-
-class TestMemoryOverlay:
-    def test_overlay_preserves_floors_and_replays(self):
-        book = MemoryLedgerBook(HALF ** 3)
-        book.charge("alice", HALF, idem="a-1")
-        book.charge("alice", HALF)
-        book.charge("bob", HALF)
-        book.record_result("a-1", 200, {"value": 5})
-        overlay = memory_overlay(book)
-        assert overlay.view("alice").cumulative_alpha == HALF ** 2
-        assert overlay.view("bob").cumulative_alpha == HALF
-        # The floor keeps binding exactly where it stood: one more
-        # charge fits, the next is rejected.
-        assert overlay.charge("alice", HALF).outcome == "charged"
-        assert overlay.charge("alice", HALF).outcome == "rejected"
-        # Completed idempotent results still replay.
-        decision = overlay.charge("alice", HALF, idem="a-1")
-        assert decision.outcome == "replayed"
-        assert decision.replay == (200, {"value": 5})
-
-    def test_overlay_skips_userless_books(self):
-        book = MemoryLedgerBook(HALF ** 3)
-        book.book("ghost")  # created but never charged
-        overlay = memory_overlay(book)
-        assert overlay.view("ghost") is None
 
 
 class TestServerSheds:
@@ -398,20 +367,16 @@ def make_faulty_ledger_server(store, tmp_path, *, policy, after, times,
     DurableLedger(ledger_dir, HALF ** 8).close()  # settle meta cleanly
     faults = FaultInjector()
     fsync_storm(faults, after=after, times=times)
-    fs = FaultyFS(faults)
-
-    def factory():
-        return DurableLedger(
-            ledger_dir, HALF ** 8, fsync="always", fs=fs
-        )
-
+    ledger = DurableLedger(
+        ledger_dir, HALF ** 8, fsync="always", fs=FaultyFS(faults)
+    )
     kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 7)
     kwargs.setdefault("floor", HALF ** 8)
     server = MechanismServer(
-        store, ledger=factory(), ledger_factory=factory,
-        wal_failure_policy=policy, breaker_cooldown=cooldown, **kwargs
+        store, ledger=ledger, wal_failure_policy=policy,
+        breaker_cooldown=cooldown, **kwargs
     )
     server.load_store()
     return server, ledger_dir
@@ -545,3 +510,76 @@ class TestWALBreakerOnServer:
         # floor of (1/2)^8: exactly 8 successes total.
         assert statuses.count(200) == 8
         assert statuses[8:] == [429] * 4
+
+    def test_memory_policy_keeps_a_siblings_outage_charges(
+        self, store, tmp_path
+    ):
+        """A second book on the same directory charges the user while
+        this worker is volatile; recovery must keep all three acked
+        charges."""
+        server, ledger_dir = make_faulty_ledger_server(
+            store, tmp_path, policy="memory", after=1, times=1,
+        )
+        client = InProcessClient(server)
+
+        async def go():
+            out = [await client.publish(
+                user="u", n=8, alpha="1/2", true_result=3
+            )]
+            out.append(await client.publish(
+                user="u", n=8, alpha="1/2", true_result=3
+            ))  # the fsync fails: served volatile
+            sibling = DurableLedger(ledger_dir)
+            out.append(sibling.charge("u", HALF).outcome)
+            sibling.close()
+            await asyncio.sleep(0.06)
+            # Another user's request arrives and runs the probe.
+            out.append(await client.publish(
+                user="w", n=8, alpha="1/2", true_result=3
+            ))
+            await server.stop()
+            return out
+
+        first, volatile, sibling, after = run(go())
+        assert first[0] == 200 and after[0] == 200
+        assert volatile[1]["durability"] == "volatile"
+        assert sibling == "charged"
+        assert server.breaker.recoveries == 1
+        assert verify_ledger_dir(ledger_dir)["ok"]
+        recovered = DurableLedger(ledger_dir)
+        budget = recovered.view("u")
+        assert (budget.cumulative_alpha, budget.releases) == (HALF ** 3, 3)
+        recovered.close()
+
+    def test_memory_policy_retry_after_recovery_replays(
+        self, store, tmp_path
+    ):
+        server, ledger_dir = make_faulty_ledger_server(
+            store, tmp_path, policy="memory", after=1, times=1,
+        )
+        client = InProcessClient(server)
+
+        async def go():
+            await client.publish(user="u", n=8, alpha="1/2", true_result=3)
+            first = await client.publish(
+                user="u", n=8, alpha="1/2", true_result=3, idem="k1"
+            )
+            await asyncio.sleep(0.06)
+            retry = await client.publish(
+                user="u", n=8, alpha="1/2", true_result=3, idem="k1"
+            )
+            view = await client.get("/ledger/u")
+            await server.stop()
+            return first, retry, view
+
+        first, retry, (_, view) = run(go())
+        assert first[0] == 200 and first[1]["durability"] == "volatile"
+        assert server.breaker.recoveries == 1
+        # Re-sample, never re-charge: the retry replays the response.
+        assert retry == first
+        assert server.metrics["replayed"] == 1
+        assert view["cumulative_alpha"] == "1/4"
+        recovered = DurableLedger(ledger_dir)
+        assert recovered.view("u").cumulative_alpha == HALF ** 2
+        assert recovered.charge("u", HALF, idem="k1").outcome == "replayed"
+        recovered.close()

@@ -301,3 +301,89 @@ class TestAuditIntegration:
         assert server.metrics["audit_flagged"] >= 1
         assert server.metrics["audit_sweeps"] >= 1
         assert index == 3
+
+
+class TestRejectionThenCompaction:
+    def test_restart_after_a_429_and_a_compaction(self, store, tmp_path):
+        """A first charge refused at the floor leaves no state behind, so
+        the compaction it precedes cannot brick the directory."""
+        from repro.release.durable_ledger import (
+            DurableLedger,
+            verify_ledger_dir,
+        )
+
+        store.get_or_compile(ArtifactSpec("geometric", 8, Fraction(1, 8)))
+        ledger_dir = tmp_path / "ledger"
+        floor = Fraction(1, 4)
+
+        async def life(ledger, publishes):
+            server = make_server(store, ledger=ledger, floor=floor)
+            client = InProcessClient(server)
+            statuses = [
+                (await client.publish(
+                    user=user, n=8, alpha=alpha, true_result=3
+                ))[0]
+                for user, alpha in publishes
+            ]
+            views = [await client.get(f"/ledger/{u}") for u in ("x", "u")]
+            state = (ledger.users(), ledger.budgets(), views)
+            await server.stop()
+            return statuses, state
+
+        statuses, live = run(life(
+            DurableLedger(ledger_dir, floor, snapshot_every=2),
+            [("x", "1/8"), ("u", "1/2"), ("u", "1/2")],
+        ))
+        assert statuses == [429, 200, 200]
+        assert verify_ledger_dir(ledger_dir)["ok"]
+        assert (ledger_dir / "snapshot.json").exists()
+        statuses, reopened = run(life(DurableLedger(ledger_dir), []))
+        assert reopened == live
+        users, budgets, (x, u) = reopened
+        assert users == 1
+        assert x[0] == 404
+        assert (u[0], u[1]["releases"], u[1]["cumulative_alpha"]) == (
+            200, 2, "1/4"
+        )
+
+
+class TestMalformedHTTP:
+    """Framing the server cannot parse is a counted 400 that closes the
+    connection — never an unhandled exception in the handler task."""
+
+    LONG = b"a" * (70 * 1024)
+    CASES = {
+        "content-length-not-a-number":
+            b"POST /publish HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        "content-length-negative":
+            b"POST /publish HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        "request-line-over-64k": b"GET /" + LONG + b" HTTP/1.1\r\n\r\n",
+        "header-line-over-64k":
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + LONG + b"\r\n\r\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_answers_400_and_closes(self, store, case):
+        async def main():
+            errors = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            server = make_server(store)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(self.CASES[case])
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            await server.stop()
+            return raw, errors, server.metrics["bad_request"]
+
+        raw, errors, bad = run(main())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert b"error" in body
+        assert errors == []
+        assert bad == 1

@@ -381,6 +381,15 @@ class TestServeCommand:
         assert main(["serve", "--store", str(tmp_path)]) == 1
         assert "repro compile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ledger", [False, True])
+    def test_serve_refuses_a_floor_of_one(self, capsys, tmp_path, ledger):
+        argv = ["serve", "--store", str(tmp_path / "store"), "--floor", "1"]
+        if ledger:
+            argv += ["--ledger-dir", str(tmp_path / "ledger")]
+        assert main(argv) == 1
+        assert "absolute privacy" in capsys.readouterr().err
+        assert not (tmp_path / "ledger").exists()
+
     def test_compile_side_grid(self, capsys, tmp_path):
         code = main(
             [
