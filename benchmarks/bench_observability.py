@@ -31,6 +31,13 @@ off, so this benchmark puts a hard ceiling on the cost:
   ``benchmarks/out/trace_sample.jsonl`` for the CI artifact.
 * scrape sanity — the Prometheus exposition from the loaded server
   parses: every expected family present, histogram buckets cumulative.
+* scrape scaling — scrape p50/p99 with 10k and 200k users in the book
+  (and 1M outside ``--quick``), with publishes between scrapes so the
+  book's per-charge upkeep of the burn aggregates runs. ``--check``
+  fails when the 200k median exceeds :data:`SCRAPE_GROWTH_CEILING`
+  (**2x**) the 10k median. The ``metrics``/``traced`` overhead rounds
+  scrape once before their load, so the overhead ceilings include that
+  upkeep.
 
 Standalone:
 ``PYTHONPATH=src:benchmarks python benchmarks/bench_observability.py``
@@ -54,6 +61,7 @@ from _report import OUT_DIR, emit, emit_bench
 
 from repro.obs.metrics import LATENCY_BUCKET_GROWTH
 from repro.release.artifacts import ArtifactSpec, ArtifactStore
+from repro.release.durable_ledger import MemoryLedgerBook
 from repro.serving import InProcessClient, MechanismServer
 
 #: ``--check`` fails when default telemetry (metrics, tracing off)
@@ -69,6 +77,13 @@ OVERHEAD_CEILING = 0.05
 #: on gross regressions (e.g. per-record serialization on the emit
 #: path, which this benchmark caught during development).
 TRACED_OVERHEAD_CEILING = 0.15
+
+#: ``--check`` fails when the median scrape at the larger of these user
+#: counts costs more than :data:`SCRAPE_GROWTH_CEILING` times the median
+#: at the smaller: a scrape must cost O(metric series), not O(users) (a
+#: scrape that walks every user grows ~20x over this range).
+SCRAPE_GROWTH_SIZES = (10_000, 200_000)
+SCRAPE_GROWTH_CEILING = 2.0
 
 DEPLOYMENTS = [
     (8, Fraction(1, 2)),
@@ -171,6 +186,10 @@ def one_run(store, *, mode, trace_dir, requests, users, concurrency):
             )
         server = MechanismServer(store, **kwargs)
         server.load_store()
+        if mode != "off":
+            # A scraped server keeps its budget-burn aggregates current
+            # on every charge; scrape once so the load pays for that.
+            server.telemetry.registry.render()
         warmup = max(1000, requests // 10)
         gc.collect()  # start every run from the same heap state
         wall, cpu, statuses = asyncio.run(
@@ -395,6 +414,75 @@ def check_trace_completeness(store, *, requests):
         }
 
 
+def bench_scrape_scaling(store, *, sizes, scrapes, publishes_between):
+    """Scrape latency against the number of users in the book.
+
+    Each size pre-charges that many users once (alphas cycling over the
+    deployments, floor 1/4096, so users sit at different distances from
+    the floor), takes the first scrape — the one that builds the book's
+    burn aggregates with one walk — and then times ``scrapes`` scrapes
+    of ``GET /metrics?format=prometheus``, each after
+    ``publishes_between`` publishes, so the per-charge upkeep of the
+    aggregates runs between scrapes. A scrape that walked the users
+    would grow with the size; one that reads the aggregates does not.
+    """
+    floor = Fraction(1, 4096)
+    rows = []
+    for size in sizes:
+        book = MemoryLedgerBook(floor)
+        for i in range(size):
+            book.charge(f"s{i}", DEPLOYMENTS[i % len(DEPLOYMENTS)][1])
+        server = MechanismServer(
+            store, ledger=book, floor=floor, batch_window=0.001,
+            audit_rate=0.0, seed=41,
+        )
+        server.load_store()
+        client = InProcessClient(server)
+
+        async def scrape():
+            t0 = time.perf_counter()
+            status, _ = await server.handle_request(
+                "GET", "/metrics?format=prometheus"
+            )
+            assert status == 200
+            return time.perf_counter() - t0
+
+        async def go():
+            first = await scrape()
+            times = []
+            for j in range(scrapes):
+                for k in range(publishes_between):
+                    n, alpha = DEPLOYMENTS[k % len(DEPLOYMENTS)]
+                    user = f"s{(j * publishes_between + k) * 7919 % size}"
+                    status, _ = await client.publish(
+                        user=user, n=n, alpha=str(alpha), true_result=n // 2
+                    )
+                    assert status in (200, 429), status
+                times.append(await scrape())
+            await server.stop()
+            return first, times
+
+        first, times = asyncio.run(go())
+        times_ms = np.array(times) * 1e3
+        rows.append({
+            "users": size,
+            "scrapes": scrapes,
+            "publishes_between": publishes_between,
+            "first_scrape_ms": first * 1e3,
+            "scrape_p50_ms": float(np.percentile(times_ms, 50)),
+            "scrape_p99_ms": float(np.percentile(times_ms, 99)),
+        })
+        del book, server, client
+        gc.collect()
+    by_size = {row["users"]: row for row in rows}
+    small, large = SCRAPE_GROWTH_SIZES
+    return {
+        "rows": rows,
+        "p50_growth": by_size[large]["scrape_p50_ms"]
+        / by_size[small]["scrape_p50_ms"],
+    }
+
+
 def check_scrape(store):
     """The Prometheus exposition parses and carries the key families."""
     server = MechanismServer(
@@ -443,7 +531,9 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="exit nonzero when telemetry overhead exceeds "
-        f"{OVERHEAD_CEILING:.0%} of telemetry-off throughput",
+        f"{OVERHEAD_CEILING:.0%} of telemetry-off throughput or the "
+        f"scrape median grows more than {SCRAPE_GROWTH_CEILING:.0f}x "
+        "with the user count",
     )
     args = parser.parse_args(argv)
 
@@ -454,9 +544,11 @@ def main(argv=None):
         # quiet window, more noisy rounds for the median to discard.
         requests, users, concurrency, rounds = 8_000, 10_000, 1024, 12
         trace_requests = 64
+        scrape_sizes = SCRAPE_GROWTH_SIZES
     else:
         requests, users, concurrency, rounds = 30_000, 10_000, 2048, 12
         trace_requests = 256
+        scrape_sizes = SCRAPE_GROWTH_SIZES + (1_000_000,)
 
     with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
         store = build_store(tmp)
@@ -472,6 +564,9 @@ def main(argv=None):
         )
         traces = check_trace_completeness(store, requests=trace_requests)
         scrape = check_scrape(store)
+        scaling = bench_scrape_scaling(
+            store, sizes=scrape_sizes, scrapes=200, publishes_between=8
+        )
 
     results = {
         "quick": args.quick,
@@ -482,9 +577,11 @@ def main(argv=None):
         "p99_agreement": agreement,
         "trace_completeness": traces,
         "scrape": scrape,
+        "scrape_scaling": scaling,
         "targets": {
             "overhead_ceiling": OVERHEAD_CEILING,
             "traced_overhead_ceiling": TRACED_OVERHEAD_CEILING,
+            "scrape_growth_ceiling": SCRAPE_GROWTH_CEILING,
         },
     }
 
@@ -517,6 +614,22 @@ def main(argv=None):
         "  scrape: {families} families, {exposition_lines} exposition "
         "lines, buckets monotone (asserted)".format(**scrape)
     )
+    for row in scaling["rows"]:
+        lines.append(
+            "  scrape at {users:,} users: p50={scrape_p50_ms:.2f}ms "
+            "p99={scrape_p99_ms:.2f}ms over {scrapes} scrapes, "
+            "{publishes_between} publishes apart (first scrape "
+            "{first_scrape_ms:.0f}ms builds the aggregates)".format(**row)
+        )
+    lines.append(
+        "  scrape p50 growth {small:,} -> {large:,} users: {growth:.2f}x "
+        "(ceiling {ceiling:.0f}x)".format(
+            small=SCRAPE_GROWTH_SIZES[0],
+            large=SCRAPE_GROWTH_SIZES[1],
+            growth=scaling["p50_growth"],
+            ceiling=SCRAPE_GROWTH_CEILING,
+        )
+    )
     emit("observability", "\n".join(lines))
     emit_bench("observability", results)
 
@@ -533,6 +646,12 @@ def main(argv=None):
                 "1%-traced telemetry overhead "
                 f"{overhead['traced_overhead_fraction']:.1%} > "
                 f"{TRACED_OVERHEAD_CEILING:.0%}"
+            )
+        if scaling["p50_growth"] > SCRAPE_GROWTH_CEILING:
+            failures.append(
+                f"scrape p50 grew {scaling['p50_growth']:.2f}x from "
+                f"{SCRAPE_GROWTH_SIZES[0]:,} to {SCRAPE_GROWTH_SIZES[1]:,} "
+                f"users > {SCRAPE_GROWTH_CEILING:.0f}x"
             )
         if failures:
             print(

@@ -12,26 +12,32 @@ The ledger enforces the floor; this module makes the approach to it
   ``alpha``: how many more identical releases the ledger would admit
   before answering 429.
 
-``remaining_charges`` is estimated in float logs and then corrected
-with exact :class:`fractions.Fraction` comparisons, so it is *exact*
-even thousands of charges from the floor where ``alpha**k`` underflows
-log arithmetic's precision.
+``remaining_charges`` is estimated in logs and then corrected with
+exact integer cross-multiplication, so it is *exact* even thousands of
+charges from the floor where ``alpha**k`` underflows log arithmetic's
+precision. Every log falls back to integer logs once ``float`` of a
+deep budget underflows to 0, so burn math never raises on a book the
+ledger accepts.
 
 Sources: a live ledger book (:func:`burn_rows_from_book`, one
-consistent read of every user's budget, used by the server's
-scrape-time collector and ``GET /obs/burn``) or a ledger directory at
-rest (:func:`burn_rows_from_dir`, used by ``repro ledger
-show`` and ``repro obs top`` — recovery replays the WAL, so the rows
-reflect exactly what a restarted server would enforce). The durable
-ledger import is lazy to keep ``repro.obs`` free of release-layer
-imports at module load (the release layer imports ``obs.metrics``).
+consistent read of every user's budget, behind ``GET /obs/burn``) or a
+ledger directory at rest (:func:`burn_rows_from_dir`, used by ``repro
+ledger show`` and ``repro obs top`` — recovery replays the WAL, so the
+rows reflect exactly what a restarted server would enforce). These are
+operator drill-downs that walk every user. The metrics scrape does not:
+the book keeps the two aggregates it publishes (the floor-proximity
+counts and the top burners) current on every charge through
+:func:`burn_position`, the same rule a row is built from, and
+``floor_proximity(burn_rows_from_book(book))`` remains their reference.
+The durable ledger import is lazy to keep ``repro.obs`` free of
+release-layer imports at module load (the release layer imports
+``obs.metrics``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "BurnRow",
@@ -39,6 +45,14 @@ __all__ = [
     "burn_rows_from_dir",
     "floor_proximity",
 ]
+
+#: The ``within`` levels of ``repro_budget_users_near_floor``: users at
+#: most this many further charges from their floor.
+NEAR_FLOOR = (1, 2, 4, 8)
+
+#: The charges-left bucket :func:`burn_position` puts every user in who
+#: is more than ``max(NEAR_FLOOR)`` charges from the floor, or unbounded.
+FAR = NEAR_FLOOR[-1] + 1
 
 
 @dataclass(frozen=True)
@@ -78,13 +92,35 @@ class BurnRow:
         }
 
 
+def _log(num: int, den: int) -> float:
+    """Natural log of the positive rational ``num/den``.
+
+    The float quotient of a budget below ~1e-308 underflows to 0.0 (and
+    ``math.log`` raises); only then fall back to integer logs, so every
+    value that is finite in floats stays bit-identical.
+    """
+    approx = num / den
+    if approx > 0.0:
+        return math.log(approx)
+    return math.log(num) - math.log(den)
+
+
 def spent_fraction(cumulative, floor) -> float:
     """Epsilon-fraction of the budget consumed, clamped to [0, 1]."""
-    if floor is None or floor == 0 or cumulative >= 1:
+    if floor is None:
         return 0.0
-    if floor >= 1:
+    return _spent(cumulative.as_integer_ratio(), floor.as_integer_ratio())
+
+
+def _spent(cumulative, floor) -> float:
+    """:func:`spent_fraction` of two ``(numerator, denominator)`` pairs."""
+    num, den = cumulative
+    floor_num, floor_den = floor
+    if floor_num == 0 or num >= den:
+        return 0.0
+    if floor_num >= floor_den:
         return 1.0
-    fraction = math.log(float(cumulative)) / math.log(float(floor))
+    fraction = _log(num, den) / _log(floor_num, floor_den)
     return min(1.0, max(0.0, fraction))
 
 
@@ -92,65 +128,104 @@ def remaining_charges(cumulative, floor, alpha) -> int | None:
     """Largest ``k >= 0`` with ``cumulative * alpha**k >= floor``.
 
     ``None`` when unbounded (``floor == 0``) or ``alpha`` is not a
-    budget-consuming level (``alpha <= 0`` or ``alpha >= 1``). The float
-    log estimate is adjusted with exact Fraction arithmetic, so the
-    answer matches what a ledger book's charge would admit.
+    budget-consuming level (``alpha <= 0`` or ``alpha >= 1``). The log
+    estimate is adjusted with exact integer arithmetic, so the answer
+    matches what a ledger book's charge would admit.
     """
-    if floor is None or floor == 0:
+    if floor is None:
         return None
-    if alpha is None or not 0 < alpha < 1:
-        return None
-    cumulative = Fraction(cumulative)
-    floor = Fraction(floor)
-    if cumulative < floor:
-        return 0
-    try:
-        alpha = Fraction(alpha)
-        exact = True
-    except (TypeError, ValueError):
-        exact = False
-    # Log of the ratio via integer logs: float(ratio) underflows to 0.0
-    # (and log raises) once the floor is ~1000 half-charges away.
-    ratio = floor / cumulative
-    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
-    log_alpha = (
-        math.log(alpha.numerator) - math.log(alpha.denominator)
-        if exact
-        else math.log(float(alpha))
+    return _charges_left(
+        cumulative.as_integer_ratio(), floor.as_integer_ratio(), alpha, None
     )
-    estimate = max(0, int(math.floor(log_ratio / log_alpha)))
-    if not exact:
-        return estimate
-    # Walk the float estimate to the exact boundary: k is admitted iff
-    # cumulative * alpha**k >= floor.
-    while estimate > 0 and cumulative * alpha**estimate < floor:
-        estimate -= 1
-    while cumulative * alpha ** (estimate + 1) >= floor:
-        estimate += 1
-    return estimate
 
 
-def _projected_alpha(budget):
-    """The alpha to project future charges at.
+def _charges_left(cumulative, floor, alpha, cap) -> int | None:
+    """:func:`remaining_charges` of two ``(numerator, denominator)``
+    pairs, or ``min(remaining_charges, cap)``.
+
+    The log estimate only picks where the exact walk starts; with a
+    ``cap`` it starts at most ``cap`` charges out, so a user far from
+    the floor costs one exact comparison of small powers.
+    """
+    num, den = cumulative
+    floor_num, floor_den = floor
+    if floor_num == 0 or alpha is None:
+        return None
+    p, q = alpha.as_integer_ratio()  # exact, for a float alpha too
+    if not 0 < p < q:
+        return None
+    # cumulative * alpha**k >= floor  <=>  have * p**k >= need * q**k
+    have, need = num * floor_den, floor_num * den
+    if have < need:
+        return 0
+    # Integer logs: float(ratio) underflows to 0.0 (and log raises) once
+    # the floor is ~1000 half-charges away.
+    estimate = int(
+        (math.log(have) - math.log(need)) / (math.log(q) - math.log(p))
+    )
+    k = max(0, estimate if cap is None else min(estimate, cap))
+    p_k, q_k = p**k, q**k
+    while k > 0 and have * p_k < need * q_k:
+        k -= 1
+        p_k //= p
+        q_k //= q
+    while (cap is None or k < cap) and have * p_k * p >= need * q_k * q:
+        k += 1
+        p_k *= p
+        q_k *= q
+    return k
+
+
+def _projected_alpha(last_alpha, cumulative, releases):
+    """The alpha to project future charges at (``cumulative`` as a
+    ``(numerator, denominator)`` pair).
 
     The user's last charged alpha; after a compaction only the total is
     known, so fall back to the geometric mean
-    ``cumulative ** (1/releases)``.
+    ``cumulative ** (1/releases)`` (in logs once the float of a deep
+    total underflows to 0).
     """
-    alpha = budget.last_alpha
-    if alpha is not None and 0 < alpha < 1:
-        return alpha
-    cumulative = budget.cumulative_alpha
-    if budget.releases > 0 and 0 < cumulative < 1:
-        return float(cumulative) ** (1.0 / budget.releases)
+    if last_alpha is not None:
+        p, q = last_alpha.as_integer_ratio()
+        if 0 < p < q:
+            return last_alpha
+    num, den = cumulative
+    if releases > 0 and 0 < num < den:
+        approx = num / den
+        if approx > 0.0:
+            return approx ** (1.0 / releases)
+        return math.exp(_log(num, den) / releases)
     return None
+
+
+def burn_position(cumulative, floor, releases, last_alpha):
+    """``(spent_fraction, charges left capped at FAR)``.
+
+    What the book's scrape aggregates keep per user: the same values
+    :func:`burn_row` derives, with every user more than
+    ``max(NEAR_FLOOR)`` charges from the floor (or unbounded) in the
+    :data:`FAR` bucket.
+    """
+    floor = floor.as_integer_ratio()
+    if floor[0] == 0:
+        # An unlimited book never burns down (the rule below agrees;
+        # this skips it on the charge path of an unfloored server).
+        return 0.0, FAR
+    cumulative = cumulative.as_integer_ratio()
+    left = _charges_left(
+        cumulative, floor,
+        _projected_alpha(last_alpha, cumulative, releases), FAR,
+    )
+    return _spent(cumulative, floor), FAR if left is None else left
 
 
 def burn_row(budget) -> BurnRow:
     """One user's burn row from their
     :class:`~repro.release.durable_ledger.UserBudget`."""
-    alpha = _projected_alpha(budget)
     cumulative, floor = budget.cumulative_alpha, budget.floor
+    alpha = _projected_alpha(
+        budget.last_alpha, cumulative.as_integer_ratio(), budget.releases
+    )
     return BurnRow(
         user=budget.user,
         releases=budget.releases,
@@ -184,7 +259,7 @@ def burn_rows_from_dir(path) -> list:
         ledger.close()
 
 
-def floor_proximity(rows, ks=(1, 2, 4, 8)) -> dict:
+def floor_proximity(rows, ks=NEAR_FLOOR) -> dict:
     """How many users are within ``k`` further charges of their floor.
 
     Returns ``{k: count}`` counting rows whose ``remaining_charges`` is

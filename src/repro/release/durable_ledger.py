@@ -7,6 +7,15 @@ exact multiply and one compare against the floor; only an admitted
 charge creates a user's state, and the remaining allowance is derived
 only when someone reads it.
 
+A user's distance to the floor therefore changes only when that user
+is charged, so the book also keeps the two aggregates a metrics scrape
+publishes — how many users are within 1, 2, 4, 8 charges of the floor,
+and the ten top burners — and :meth:`MemoryLedgerBook.burn_summary`
+reads them without walking the users. They are derived, never
+persisted: the first read after the users are (re)loaded builds them
+with one walk, and from then on every credit moves its one user. A
+book nobody scrapes never builds them and pays nothing.
+
 * :class:`MemoryLedgerBook` — the book with no journal. Budgets die
   with the process: the serving default only when no ``--ledger-dir``
   is given.
@@ -35,7 +44,11 @@ only when someone reads it.
   writes ``snapshot.json`` (checksummed; cumulative guarantee and
   release count per user, plus the idempotency replay cache) and then
   truncates the journal. A crash between the two is safe: replay skips
-  journal records at or below the snapshot's sequence number.
+  journal records at or below the snapshot's sequence number. The book
+  compacts itself once the journal holds at least ``snapshot_every``
+  appends *and* at least as many bytes as the last snapshot, so the
+  rewrite of every user is paid for by a journal as large as it, and
+  recovery replays at most about one snapshot's worth of journal.
 * **Multi-process sharing** — every mutation holds an advisory
   ``flock`` on ``ledger.lock`` and first catches up on records appended
   by sibling processes (incremental from the last applied byte offset),
@@ -67,6 +80,7 @@ recovery invariants.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import errno
 import json
@@ -87,6 +101,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..core.privacy import alpha_to_epsilon
 from ..exceptions import ReproError
+from ..obs.budget import FAR, NEAR_FLOOR, burn_position
 from ..obs.tracing import current_trace
 from ..validation import check_alpha
 from .ledger import allowance, check_floor
@@ -119,6 +134,9 @@ _FORMAT_VERSION = 1
 #: many pending entries (and at every scrape) — keeps the hot append
 #: path to one list append while bounding memory between scrapes.
 _LAT_FOLD_CAP = 65536
+
+#: How many top burners the scrape aggregates rank.
+_TOP = 10
 
 
 class LedgerUnavailableError(ReproError):
@@ -402,14 +420,16 @@ def _fraction(text) -> Fraction:
 
 class _UserState:
     """One user's budget: all that composition, the 429 body and burn
-    projection need."""
+    projection need, plus the user's charges-left bucket while the
+    book's scrape aggregates are built."""
 
-    __slots__ = ("cum", "releases", "last_alpha")
+    __slots__ = ("cum", "releases", "last_alpha", "near")
 
     def __init__(self, cum, releases, last_alpha) -> None:
         self.cum = cum
         self.releases = releases
         self.last_alpha = last_alpha
+        self.near = None
 
 
 class MemoryLedgerBook:
@@ -429,6 +449,11 @@ class MemoryLedgerBook:
         self._users: dict[str, _UserState] = {}
         self._replay = _ReplayCache(replay_cap)
         self._lock = threading.Lock()
+        # The scrape aggregates (None until the first burn_summary):
+        # users per charges-left bucket 0..FAR (see burn_position), and
+        # the top burners as sorted (-spent_fraction, user) keys.
+        self._near: list[int] | None = None
+        self._top: list[tuple] | None = None
 
     # -- the journal hooks (no journal here) ----------------------------
     def _exclusive(self):
@@ -472,12 +497,41 @@ class MemoryLedgerBook:
             return ChargeDecision("charged", user, cum, self.floor)
 
     def _credit(self, state, user, cum, alpha) -> None:
+        """The book's one mutation point: a charge, a catch-up replay
+        and a backfill all land here, and so does the upkeep of the
+        scrape aggregates once they are built."""
         if state is None:
-            self._users[user] = _UserState(cum, 1, alpha)
+            state = self._users[user] = _UserState(cum, 1, alpha)
+            old = None
         else:
+            old = state.near
             state.cum = cum
             state.releases += 1
             state.last_alpha = alpha
+        if self._near is not None:
+            self._place(user, state, old)
+
+    def _place(self, user, state, old) -> None:
+        """Move one user within the scrape aggregates (``old`` is their
+        previous bucket, ``None`` when they were not counted yet)."""
+        spent, near = burn_position(
+            state.cum, self.floor, state.releases, state.last_alpha
+        )
+        counts = self._near
+        if old is not None:
+            counts[old] -= 1
+        counts[near] += 1
+        state.near = near
+        # A credit only lowers cum, so a user's key only ever improves:
+        # nobody outside the top can enter it except the user credited.
+        top, key = self._top, (-spent, user)
+        if len(top) < _TOP or key < top[-1]:
+            for i, (_, name) in enumerate(top):
+                if name == user:
+                    del top[i]
+                    break
+            bisect.insort(top, key)
+            del top[_TOP:]
 
     def _replay_decision(self, user, hit) -> ChargeDecision:
         state = self._users.get(hit.get("user") or user)
@@ -522,6 +576,27 @@ class MemoryLedgerBook:
                 for user, state in self._users.items()
             ]
 
+    def burn_summary(self) -> tuple[dict, list]:
+        """What a metrics scrape publishes about budget burn, in O(1).
+
+        Returns ``({k: users within k charges of the floor for k in
+        NEAR_FLOOR}, [(user, spent_fraction) of the top burners]``,
+        equal to ``floor_proximity(burn_rows_from_book(book))`` and the
+        head of ``burn_rows_from_book(book)``. The first call after the
+        users are (re)loaded builds the aggregates with one walk; every
+        credit keeps them current after that.
+        """
+        with self._exclusive():
+            if self._near is None:
+                self._near, self._top = [0] * (FAR + 1), []
+                for user, state in self._users.items():
+                    self._place(user, state, None)
+            counts = self._near
+            return (
+                {k: sum(counts[: k + 1]) for k in NEAR_FLOOR},
+                [(user, -neg) for neg, user in self._top],
+            )
+
     def users(self) -> int:
         with self._exclusive():
             return len(self._users)
@@ -562,8 +637,12 @@ class DurableLedger(MemoryLedgerBook):
     fsync:
         One of :data:`FSYNC_MODES`.
     snapshot_every:
-        Auto-compact after this many journal appends (``0`` disables;
-        :meth:`compact` always works explicitly).
+        The fewest journal appends between auto-compactions (``0``
+        disables them; :meth:`compact` always works explicitly). Past
+        that minimum the book waits until the journal holds at least as
+        many bytes as the last snapshot (0 when there is none), so a
+        book with many users compacts in proportion to its size instead
+        of rewriting every user each ``snapshot_every`` charges.
     replay_cap:
         Bound on completed idempotency-replay entries held (pending
         charges are never evicted).
@@ -737,6 +816,7 @@ class DurableLedger(MemoryLedgerBook):
         """Full recovery: snapshot, then journal replay, truncating a
         torn tail and refusing mid-journal corruption."""
         self._users = {}
+        self._near = self._top = None  # rebuilt by the next scrape
         self._replay = _ReplayCache(self._replay.cap)
         self._seq = 0
         self._snapshot_seq = 0
@@ -1019,6 +1099,7 @@ class DurableLedger(MemoryLedgerBook):
                     # next probe reloads again.
                     self._outage, self._outage_keys = outage, keys
                     self._users, self._replay = saved
+                    self._near = self._top = None
                 elif not self._failed:
                     self._failed = f"recovery failed: {err!r}"
                 raise
@@ -1030,6 +1111,7 @@ class DurableLedger(MemoryLedgerBook):
         if (
             self.snapshot_every > 0
             and self._appends_since_snapshot >= self.snapshot_every
+            and self._size >= (self._snap_stat or (0, 0))[1]
             and self._outage is None
         ):
             self._compact_locked()
@@ -1108,6 +1190,8 @@ class DurableLedger(MemoryLedgerBook):
             # (failed rollback, failed group fsync, mid-protocol crash);
             # readiness checks and the WAL circuit breaker key off it.
             "failed": self._failed,
+            # Users whose volatile-mode charges await a backfill.
+            "unjournaled_users": len(self._outage or ()),
         }
 
     def __repr__(self) -> str:

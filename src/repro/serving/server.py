@@ -86,6 +86,7 @@ import contextlib
 import json
 import math
 import signal
+import sys
 import time
 from fractions import Fraction
 
@@ -613,11 +614,16 @@ class MechanismServer:
         """Scrape-time collector: request tallies, budget burn, WAL.
 
         Registered on the telemetry registry, so the work — mirroring
-        the hot-path dict tallies into their Prometheus families,
-        walking the ledger books for burn rows, ranking the top burners
-        — happens per scrape/snapshot, never on the request path. Never
-        raises: a scrape must not fail because the ledger is
-        mid-shutdown.
+        the hot-path dict tallies into their Prometheus families — happens
+        per scrape/snapshot, never on the request path. The burn gauges
+        cost O(metric series), not O(users): the book keeps the
+        floor-proximity counts and the top burners current on every
+        charge, and :meth:`~repro.release.durable_ledger.MemoryLedgerBook.burn_summary`
+        reads them under one lock (and, for a durable book, one flock
+        and one catch-up). Only the first scrape after the book loads
+        walks its users. ``GET /obs/burn`` still walks every user: it is
+        the operator drill-down. Never raises: a scrape must not fail
+        because the ledger is mid-shutdown.
         """
         obs = self._obs
         try:
@@ -632,13 +638,11 @@ class MechanismServer:
             stats = self.ledgers.stats()
             if "journal_bytes" in stats:
                 obs.wal_journal_bytes.set(stats["journal_bytes"])
-            rows = burn_rows_from_book(self.ledgers)
-            for k, count in floor_proximity(rows).items():
+            near_floor, top_burners = self.ledgers.burn_summary()
+            for k, count in near_floor.items():
                 obs.users_near_floor.labels(str(k)).set(count)
-            for row in rows[:10]:
-                obs.user_spent_fraction.labels(row.user).set(
-                    row.spent_fraction
-                )
+            for user, spent in top_burners:
+                obs.user_spent_fraction.labels(user).set(spent)
             for deployment in self._deployments.values():
                 alpha = float(deployment.spec.alpha)
                 if 0 < alpha < 1:
@@ -1428,7 +1432,11 @@ class MechanismServer:
         In-flight keep-alive handlers are awaited up to
         ``drain_deadline`` seconds (the server default when ``None``);
         stragglers — typically idle keep-alive connections parked on a
-        read — are then cancelled. Idempotent: a second call is a no-op.
+        read — are then cancelled. A book left volatile by a WAL outage
+        gets one recovery probe before it closes, so the outage's acked
+        charges reach the journal; if the WAL is still down, a warning
+        on stderr counts the users whose outage charges stay
+        unjournaled. Idempotent: a second call is a no-op.
         """
         if self._stopped:
             return
@@ -1453,6 +1461,19 @@ class MechanismServer:
         # queries; flush again before failing anything still pending.
         self.batcher.flush(reason="close")
         self.batcher.close()
+        breaker = self.breaker
+        if breaker.open and breaker.policy == "memory":
+            # The book is volatile: acked charges of the outage live only
+            # in memory. One last probe journals them before closing.
+            self._recover_wal()
+            if breaker.open:
+                lost = self.ledgers.stats().get("unjournaled_users", 0)
+                print(
+                    f"warning: the WAL is still unavailable at shutdown "
+                    f"({breaker.reason}); the outage charges of {lost} "
+                    "user(s) were not journaled",
+                    file=sys.stderr,
+                )
         self.ledgers.close()  # fsyncs whatever the last batch journaled
         if self._obs is not None:
             # Flush the span log; close it only if this server built the

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.budget import (
+    burn_position,
     burn_rows_from_book,
     burn_rows_from_dir,
     floor_proximity,
@@ -54,10 +57,30 @@ class TestRemainingCharges:
 
     def test_exact_far_from_floor(self):
         # Thousands of charges out: float logs alone would wobble at the
-        # boundary; the Fraction walk must land exactly.
+        # boundary; the exact walk must land exactly.
         floor = Fraction(1, 2) ** 5000
         k = remaining_charges(Fraction(1), floor, Fraction(1, 2))
         assert k == 5000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cumulative=st.fractions(Fraction(1, 10**4), 1, max_denominator=10**4),
+        floor=st.fractions(Fraction(1, 10**4), Fraction(99, 100),
+                           max_denominator=10**4),
+        alpha=st.fractions(Fraction(1, 100), Fraction(99, 100),
+                           max_denominator=100),
+    )
+    def test_matches_charging_one_at_a_time(self, cumulative, floor, alpha):
+        """The integer walk (and the book's capped bucket) against the
+        definition: charge ``alpha`` until the floor refuses."""
+        k, running = 0, cumulative
+        while running * alpha >= floor and cumulative >= floor:
+            running *= alpha
+            k += 1
+        assert remaining_charges(cumulative, floor, alpha) == k
+        assert burn_position(cumulative, floor, 1, alpha) == (
+            spent_fraction(cumulative, floor), min(k, 9)
+        )
 
 
 class TestBurnRows:
@@ -109,6 +132,43 @@ class TestBurnRows:
         assert row.cumulative_alpha == Fraction(1, 16)
         assert row.last_alpha == pytest.approx(0.25)
         assert row.remaining_charges == 1
+
+
+class TestDeepBudgets:
+    """Budgets below ~1e-308, where ``float`` of the cumulative alpha
+    underflows to 0.0: the burn math must not raise."""
+
+    FLOOR = Fraction(1, 2**1100)
+
+    def test_deep_rows_from_a_live_book(self):
+        book = MemoryLedgerBook(floor=self.FLOOR)
+        for _ in range(1080):
+            book.charge("deep", Fraction(1, 2))
+        (row,) = burn_rows_from_book(book)
+        assert row.spent_fraction == pytest.approx(1080 / 1100)
+        assert row.remaining_charges == 20
+        assert floor_proximity([row]) == {1: 0, 2: 0, 4: 0, 8: 0}
+
+    def test_deep_compacted_user_projects_the_geometric_mean(
+        self, tmp_path
+    ):
+        ledger = DurableLedger(tmp_path / "led", floor=self.FLOOR)
+        for _ in range(1080):
+            ledger.charge("deep", Fraction(1, 2))
+        ledger.compact()
+        ledger.close()
+        (row,) = burn_rows_from_dir(tmp_path / "led")
+        # The mean is taken in logs, so it may land an ulp below 1/2.
+        assert row.last_alpha == pytest.approx(0.5)
+        assert row.remaining_charges in (19, 20)
+
+    def test_finite_values_are_unchanged(self):
+        import math
+
+        cumulative, floor = Fraction(3, 7) ** 40, Fraction(1, 10**30)
+        assert spent_fraction(cumulative, floor) == min(
+            1.0, math.log(float(cumulative)) / math.log(float(floor))
+        )
 
 
 class TestFloorProximity:

@@ -420,6 +420,34 @@ class TestRecovery:
         assert back.view("u").releases == 10
         back.close()
 
+    def test_compaction_waits_for_the_journal_to_outgrow_the_snapshot(
+        self, ledger_dir
+    ):
+        ledger = DurableLedger(ledger_dir, fsync="off", snapshot_every=0)
+        for i in range(2000):
+            ledger.charge(f"u{i}", HALF)
+        ledger.compact()
+        ledger.close()
+        snapshot = os.path.getsize(ledger_dir / "snapshot.json")
+        ledger = DurableLedger(ledger_dir, fsync="off", snapshot_every=1)
+        for _ in range(10):
+            ledger.charge("hot", HALF)
+        # A fixed cadence would have rewritten all 2001 users ten times.
+        assert ledger.stats()["compactions"] == 0
+        charges = 10
+        while ledger.stats()["compactions"] == 0:
+            journal = ledger.stats()["journal_bytes"]
+            ledger.charge("hot", HALF)
+            charges += 1
+        assert journal < snapshot
+        assert ledger.stats()["journal_bytes"] == 0
+        assert ledger.stats()["snapshot_seq"] == 2000 + charges
+        ledger.close()
+        back = reopen(ledger_dir)
+        assert back.view("hot").releases == charges
+        assert back.users() == 2001
+        back.close()
+
     def test_verify_ledger_dir_reports_clean_state(self, ledger_dir):
         ledger = DurableLedger(ledger_dir, Fraction(1, 64))
         ledger.charge("a", HALF)

@@ -4,22 +4,25 @@ Hypothesis drives a :class:`MemoryLedgerBook`, a
 ``DurableLedger(fsync="off")`` and an exact-``Fraction`` reference model
 of the paper's composition (a user's budget is the product of the alphas
 charged to them) through charges with idempotency keys, recorded
-results, compactions, reopens, and charges through a second instance on
-the same directory. After every step the three must agree on every
-outcome, cumulative alpha, release count, ``users()`` and the all-users
-read, and ``verify_ledger_dir`` must report ``ok`` exactly when the
-directory reopens.
+results, compactions, reopens, and charges and compactions through a
+second instance on the same directory. After every step the three must
+agree on every outcome, cumulative alpha, release count, ``users()``
+and the all-users read, and ``verify_ledger_dir`` must report ``ok``
+exactly when the directory reopens. Once a book's scrape aggregates
+have been read (at a random step), they must equal the full burn walk
+they replace after every later step.
 """
 
 import shutil
 import tempfile
 from fractions import Fraction
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.exceptions import ReproError
+from repro.obs.budget import burn_rows_from_book, floor_proximity
 from repro.release.durable_ledger import (
     DurableLedger,
     MemoryLedgerBook,
@@ -71,6 +74,14 @@ class Model:
         )
 
 
+def assert_aggregates_match_the_walk(book) -> None:
+    rows = burn_rows_from_book(book)
+    assert book.burn_summary() == (
+        floor_proximity(rows),
+        [(r.user, r.spent_fraction) for r in rows[:10]],
+    ), type(book).__name__
+
+
 class LedgerMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
@@ -78,6 +89,8 @@ class LedgerMachine(RuleBasedStateMachine):
         self.model = Model()
         self.memory = MemoryLedgerBook(FLOOR)
         self.wal = self._open()
+        # Books whose scrape aggregates were read, and so are kept up.
+        self.aggregated: list = []
 
     def _open(self) -> DurableLedger:
         return DurableLedger(self.dir, FLOOR, fsync="off", snapshot_every=0)
@@ -117,9 +130,30 @@ class LedgerMachine(RuleBasedStateMachine):
         self.wal.compact()
 
     @rule()
+    def compact_through_a_second_instance(self):
+        sibling = self._open()
+        try:
+            sibling.compact()
+        finally:
+            sibling.close()
+
+    @rule()
     def reopen(self):
         self.wal.close()
         self.wal = self._open()
+
+    @rule(wal=st.booleans())
+    def read_the_aggregates(self, wal):
+        book = self.wal if wal else self.memory
+        book.burn_summary()
+        if book not in self.aggregated:
+            self.aggregated.append(book)
+
+    @invariant()
+    def aggregates_match_the_walk(self):
+        for book in (self.memory, self.wal):
+            if book in self.aggregated:
+                assert_aggregates_match_the_walk(book)
 
     @invariant()
     def verify_is_ok_exactly_when_the_directory_reopens(self):
@@ -157,3 +191,24 @@ LedgerMachine.TestCase.settings = settings(
     max_examples=30, stateful_step_count=25, deadline=None
 )
 TestLedgerModel = LedgerMachine.TestCase
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    floor=st.sampled_from([Fraction(0), FLOOR, Fraction(1, 2**1100)]),
+    charges=st.lists(
+        st.tuples(st.sampled_from([f"user{i:02d}" for i in range(15)]),
+                  ALPHAS),
+        max_size=60,
+    ),
+    read_at=st.integers(0, 60),
+)
+def test_aggregates_rank_the_top_ten_of_many_users(floor, charges, read_at):
+    """More users than the ten top burners the aggregates keep: users
+    enter the top and push others out as they are charged."""
+    book = MemoryLedgerBook(floor)
+    for i, (user, alpha) in enumerate(charges):
+        if i == read_at:
+            book.burn_summary()
+        book.charge(user, alpha)
+    assert_aggregates_match_the_walk(book)

@@ -1,11 +1,12 @@
 """End-to-end observability tests: traces, /metrics, burn, batcher stats."""
 
 import asyncio
+import re
 from fractions import Fraction
 
 import pytest
 
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import MetricsRegistry, Telemetry, burn_rows_from_book
 from repro.release.artifacts import ArtifactSpec, ArtifactStore
 from repro.serving import (
     HTTPServingClient,
@@ -305,6 +306,100 @@ class TestTraceAndBurnRoutes:
         assert 'repro_user_spent_fraction{user="hot"}' in text
         assert 'repro_budget_users_near_floor{within="2"} 1' in text
         assert "repro_deployment_epsilon_spent" in text
+
+    def test_scrapes_do_not_walk_the_users(self, store, tmp_path, monkeypatch):
+        """After the first scrape, scrapes interleaved with publishes
+        read the book's aggregates: no all-users read, no burn walk, and
+        the same gauge values the walk gives."""
+        import repro.serving.server as server_module
+        from repro.obs.budget import burn_row, floor_proximity
+        from repro.release.durable_ledger import DurableLedger
+
+        floor = Fraction(1, 64)
+        ledger = DurableLedger(tmp_path / "ledger", floor, fsync="off")
+        server = make_server(store, ledger=ledger, floor=floor)
+        client = InProcessClient(server)
+        calls = []
+        real_budgets, real_walk = ledger.budgets, burn_rows_from_book
+        monkeypatch.setattr(
+            ledger, "budgets",
+            lambda: calls.append("budgets") or real_budgets(),
+        )
+        monkeypatch.setattr(
+            server_module, "burn_rows_from_book",
+            lambda book: calls.append("walk") or real_walk(book),
+        )
+
+        def gauges(text):
+            near = {
+                int(k): float(v) for k, v in re.findall(
+                    r'repro_budget_users_near_floor\{within="(\d+)"\} (\S+)',
+                    text,
+                )
+            }
+            spent = {
+                user: float(v) for user, v in re.findall(
+                    r'repro_user_spent_fraction\{user="(\w+)"\} (\S+)', text
+                )
+            }
+            return near, spent
+
+        def reference():
+            rows = sorted(
+                (burn_row(b) for b in real_budgets()),
+                key=lambda r: (-r.spent_fraction, r.user),
+            )
+            return (
+                {k: float(v) for k, v in floor_proximity(rows).items()},
+                {r.user: r.spent_fraction for r in rows[:10]},
+            )
+
+        async def go():
+            for i in range(5):
+                await client.publish(**publish_payload(user=f"u{i}"))
+            server.telemetry.registry.render()  # the first scrape
+            first = list(calls)
+            seen = []
+            for i in range(10):
+                await client.publish(**publish_payload(user=f"u{i % 3}"))
+                _, body = await server.handle_request(
+                    "GET", "/metrics?format=prometheus"
+                )
+                seen.append((gauges(body["__raw__"]), reference()))
+            await server.stop()
+            return first, seen
+
+        first, seen = run(go())
+        assert calls == first == []
+        for (near, spent), (want_near, want_spent) in seen:
+            assert near == want_near
+            assert {u: spent[u] for u in want_spent} == want_spent
+        # u0 ends one charge from the floor, u1 and u2 two.
+        assert seen[-1][0][0] == {1: 1.0, 2: 3.0, 4: 3.0, 8: 5.0}
+
+    def test_deep_budgets_do_not_blind_later_gauges(self, store):
+        """A budget whose float underflows to 0.0 used to raise inside
+        the collector and silently freeze every gauge after the burn
+        gauges."""
+        from repro.release.durable_ledger import MemoryLedgerBook
+
+        floor = Fraction(1, 2**1100)
+        book = MemoryLedgerBook(floor)
+        for _ in range(1080):
+            book.charge("deep", Fraction(1, 2))
+        server = make_server(store, ledger=book, floor=floor)
+
+        async def go():
+            text = server.telemetry.registry.render()
+            burn = await server.handle_request("GET", "/obs/burn")
+            await server.stop()
+            return text, burn
+
+        text, (status, body) = run(go())
+        assert 'repro_user_spent_fraction{user="deep"} 0.98181' in text
+        assert "repro_serving_worker_ready 1" in text
+        assert status == 200
+        assert body["rows"][0]["remaining_charges"] == 20
 
 
 class TestHealthz:

@@ -551,6 +551,58 @@ class TestWALBreakerOnServer:
         assert (budget.cumulative_alpha, budget.releases) == (HALF ** 3, 3)
         recovered.close()
 
+    def test_stop_while_volatile_journals_the_outage(self, store, tmp_path):
+        """A graceful stop with no request after the disk came back must
+        not drop the outage's acked charge (which would refill the
+        budget)."""
+        server, ledger_dir = make_faulty_ledger_server(
+            store, tmp_path, policy="memory", after=1, times=1,
+        )
+        client = InProcessClient(server)
+
+        async def go():
+            first = await client.publish(
+                user="u", n=8, alpha="1/2", true_result=3
+            )
+            second = await client.publish(
+                user="u", n=8, alpha="1/2", true_result=3
+            )
+            await server.stop()
+            return first, second
+
+        first, second = run(go())
+        assert first[0] == 200 and "durability" not in first[1]
+        assert second[0] == 200 and second[1]["durability"] == "volatile"
+        assert not server.breaker.open
+        assert verify_ledger_dir(ledger_dir)["ok"]
+        recovered = DurableLedger(ledger_dir)
+        budget = recovered.view("u")
+        assert (budget.cumulative_alpha, budget.releases) == (HALF ** 2, 2)
+        recovered.close()
+
+    def test_stop_while_the_wal_stays_down_warns(
+        self, store, tmp_path, capsys
+    ):
+        server, _ = make_faulty_ledger_server(
+            store, tmp_path, policy="memory", after=1, times=50,
+            cooldown=60.0,
+        )
+        client = InProcessClient(server)
+
+        async def go():
+            # "u" is journaled; the fsync fails from "v" on.
+            for user in ("u", "v", "w", "w"):
+                await client.publish(
+                    user=user, n=8, alpha="1/2", true_result=3
+                )
+            await server.stop()
+
+        run(go())
+        assert server.breaker.open
+        assert "outage charges of 2 user(s) were not journaled" in (
+            capsys.readouterr().err
+        )
+
     def test_memory_policy_retry_after_recovery_replays(
         self, store, tmp_path
     ):
