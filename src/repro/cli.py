@@ -74,6 +74,7 @@ tracing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -88,7 +89,7 @@ from .exceptions import ReproError
 from .losses import AbsoluteLoss, SquaredLoss, ZeroOneLoss
 from .release.audit import empirical_alpha
 from .release.durable_ledger import FSYNC_MODES
-from .serving.fallback import DEGRADED_MODES
+from .serving.config import DEGRADED_MODES, WAL_POLICY_SPELLINGS, ServerConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -290,62 +291,72 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None,
         help="artifact store directory (default: REPRO_ARTIFACT_DIR)",
     )
-    serve.add_argument(
-        "--floor", type=_parse_alpha, default=Fraction(0),
+    defaults = ServerConfig()
+
+    def setting(name, **kwargs):
+        # Every other serve flag is a ServerConfig field, with its default.
+        serve.add_argument(
+            "--" + name.replace("_", "-"), default=getattr(defaults, name),
+            **kwargs,
+        )
+
+    setting(
+        "floor", type=_parse_alpha,
         help="per-user privacy floor (joint alpha guarantee the server "
         "refuses to cross; 0 disables enforcement)",
     )
-    serve.add_argument(
-        "--batch-window", type=float, default=0.002,
+    setting(
+        "batch_window", type=float,
         help="micro-batch deadline in seconds (0 disables batching)",
     )
-    serve.add_argument(
-        "--batch-max", type=int, default=4096,
+    setting(
+        "batch_max", type=int,
         help="micro-batch size bound (flush immediately at this size)",
     )
-    serve.add_argument(
-        "--audit-rate", type=float, default=0.05,
+    setting(
+        "audit_rate", type=float,
         help="fraction of responses replayed by the online auditor "
         "(0 disables the hook)",
     )
-    serve.add_argument(
-        "--audit-every", type=int, default=64,
+    setting(
+        "audit_every", type=int,
         help="run an audit sweep every this-many executed batches",
     )
-    serve.add_argument(
-        "--seed", type=int, default=None,
+    setting(
+        "seed", type=int,
         help="seed the sampling RNG (reproducible serving for tests)",
     )
-    serve.add_argument(
-        "--ledger-dir", default=None,
+    setting(
+        "ledger_dir",
         help="durable privacy-ledger directory (default: the "
         "REPRO_LEDGER_DIR environment variable; unset = in-memory "
         "budgets that reset with the process)",
     )
-    serve.add_argument(
-        "--ledger-fsync", choices=list(FSYNC_MODES), default="group",
+    setting(
+        "ledger_fsync", choices=list(FSYNC_MODES),
         help="journal fsync policy for --ledger-dir: 'always' fsyncs "
         "every charge, 'group' amortizes one fsync per micro-batch "
         "(group commit, the default), 'off' leaves durability to the "
         "OS page cache (benchmarking only)",
     )
-    serve.add_argument(
-        "--drain-deadline", type=float, default=5.0,
+    setting(
+        "drain_deadline", type=float,
         help="seconds a graceful shutdown (SIGTERM/SIGINT) waits for "
         "in-flight connections before cancelling them",
     )
-    serve.add_argument(
-        "--trace-rate", type=float, default=0.0,
+    setting(
+        "trace_rate", type=float,
         help="fraction of publishes to trace end to end (0 disables "
         "tracing; 1.0 traces every request)",
     )
-    serve.add_argument(
-        "--trace-dir", default=None,
-        help="append sampled trace spans to DIR/trace.jsonl (unset: "
-        "in-memory ring buffer only, via GET /trace/recent)",
+    setting(
+        "trace_dir",
+        help="append sampled trace spans to DIR/trace.jsonl, shared by "
+        "every fleet worker (unset: in-memory ring buffer only, via "
+        "GET /trace/recent)",
     )
-    serve.add_argument(
-        "--trace-ring", type=int, default=1024,
+    setting(
+        "trace_ring", type=int,
         help="spans kept in the in-memory ring served by /trace/recent",
     )
     serve.add_argument(
@@ -355,36 +366,34 @@ def build_parser() -> argparse.ArgumentParser:
         "supervised fleet (crash restarts with capped backoff, "
         "lame-duck drain on SIGTERM, rolling reload on SIGHUP)",
     )
-    serve.add_argument(
-        "--queue-depth", type=int, default=0,
+    setting(
+        "queue_depth", type=int,
         help="per-worker admission bound: publishes in flight beyond "
         "this are shed with 429 + Retry-After *before* any budget "
         "charge (0 disables admission control)",
     )
-    serve.add_argument(
-        "--shed-deadline", type=float, default=0.0,
+    setting(
+        "shed_deadline", type=float,
         help="shed a publish with 503 when its estimated queue wait "
         "exceeds this many seconds (0 disables deadline shedding)",
     )
-    serve.add_argument(
-        "--degraded", choices=list(DEGRADED_MODES), default="503",
+    setting(
+        "degraded", choices=list(DEGRADED_MODES),
         help="what a quarantined bespoke artifact serves: '503' "
         "(default) or 'geometric' — fall back to the certificate-"
         "verified same-(n, alpha) geometric mechanism, with responses "
         "marked degraded (universally optimal, so privacy is exact "
         "and every minimax consumer can still post-process optimally)",
     )
-    serve.add_argument(
-        "--wal-failure-policy",
-        choices=["reject-new-charges", "memory-mode-with-alarm",
-                 "reject", "memory"],
-        default="reject-new-charges",
+    setting(
+        "wal_failure_policy", choices=list(WAL_POLICY_SPELLINGS),
         help="circuit-breaker policy when the durable ledger's fsync "
-        "fails (ENOSPC/EIO): 'reject-new-charges' refuses publishes "
-        "with 503 + Retry-After until a recovery probe succeeds; "
-        "'memory-mode-with-alarm' keeps charging the same book in "
-        "memory, marks responses durability=volatile, and backfills "
-        "the WAL on recovery — never a silent downgrade",
+        "fails (ENOSPC/EIO): 'reject-new-charges' (or 'reject', the "
+        "default) refuses publishes with 503 + Retry-After until a "
+        "recovery probe succeeds; 'memory-mode-with-alarm' (or "
+        "'memory') keeps charging the same book in memory, marks "
+        "responses durability=volatile, and backfills the WAL on "
+        "recovery — never a silent downgrade",
     )
 
     ledger = sub.add_parser(
@@ -744,47 +753,42 @@ def _resolve_ledger_dir(value):
     return value if value is not None else os.environ.get("REPRO_LEDGER_DIR")
 
 
-def _cmd_serve_fleet(args, store, ledger_dir) -> str:
+def _serve_config(args) -> ServerConfig:
+    """The one :class:`ServerConfig` a ``repro serve`` line describes."""
+    settings = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(ServerConfig)
+        if hasattr(args, field.name)
+    }
+    settings["ledger_dir"] = _resolve_ledger_dir(args.ledger_dir)
+    return ServerConfig.of(settings)
+
+
+def _cmd_serve_fleet(args, store, config) -> str:
     """The ``--workers N`` path: a supervised SO_REUSEPORT fleet."""
     from .serving.supervisor import ServingSupervisor
 
-    worker_config = {
-        "store": str(store.path),
-        "floor": str(args.floor),
-        "ledger_dir": ledger_dir,
-        "ledger_fsync": args.ledger_fsync,
-        "drain_deadline": args.drain_deadline,
-        "batch_window": args.batch_window,
-        "batch_max": args.batch_max,
-        "audit_rate": args.audit_rate,
-        "audit_every": args.audit_every,
-        "seed": args.seed,
-        "trace_rate": args.trace_rate,
-        "queue_depth": args.queue_depth,
-        "shed_deadline": args.shed_deadline,
-        "degraded": args.degraded,
-        "wal_failure_policy": args.wal_failure_policy,
-    }
     supervisor = ServingSupervisor(
-        worker_config,
+        {"store": str(store.path), **config.to_dict()},
         workers=args.workers,
         host=args.host,
         port=args.port,
-        drain_deadline=args.drain_deadline,
+        drain_deadline=config.drain_deadline,
     )
     supervisor.start()
     budgets = (
-        f"durable ({ledger_dir}, fsync={args.ledger_fsync}, "
-        "shared WAL)" if ledger_dir
+        f"durable ({config.ledger_dir}, fsync={config.ledger_fsync}, "
+        "shared WAL)" if config.ledger_dir
         else "in-memory PER WORKER (floors are per-process without "
         "--ledger-dir!)"
     )
     print(
         f"fleet of {args.workers} workers on "
         f"http://{args.host}:{supervisor.port} "
-        f"(floor={args.floor}, queue_depth={args.queue_depth}, "
-        f"shed_deadline={args.shed_deadline}s, degraded={args.degraded}, "
-        f"wal_failure_policy={args.wal_failure_policy}, "
+        f"(floor={config.floor}, queue_depth={config.queue_depth}, "
+        f"shed_deadline={config.shed_deadline}s, "
+        f"degraded={config.degraded}, "
+        f"wal_failure_policy={config.wal_failure_policy}, "
         f"budgets {budgets}; SIGTERM drains, SIGHUP rolls)",
         flush=True,
     )
@@ -804,31 +808,13 @@ def _cmd_serve(args) -> str:
 
     from .serving.server import MechanismServer
 
+    config = _serve_config(args)
     store = _resolve_cli_store(args.store)
-    ledger_dir = _resolve_ledger_dir(args.ledger_dir)
     if args.workers < 1:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
     if args.workers > 1:
-        return _cmd_serve_fleet(args, store, ledger_dir)
-    server = MechanismServer(
-        store,
-        floor=args.floor,
-        ledger_dir=ledger_dir,
-        ledger_fsync=args.ledger_fsync,
-        drain_deadline=args.drain_deadline,
-        batch_window=args.batch_window,
-        batch_max=args.batch_max,
-        audit_rate=args.audit_rate,
-        audit_every=args.audit_every,
-        seed=args.seed,
-        trace_rate=args.trace_rate,
-        trace_dir=args.trace_dir,
-        trace_ring=args.trace_ring,
-        queue_depth=args.queue_depth,
-        shed_deadline=args.shed_deadline,
-        degraded=args.degraded,
-        wal_failure_policy=args.wal_failure_policy,
-    )
+        return _cmd_serve_fleet(args, store, config)
+    server = MechanismServer(store, config=config)
     loaded = server.load_store()
     if not loaded:
         raise ReproError(
@@ -851,15 +837,15 @@ def _cmd_serve(args) -> str:
     async def _run() -> None:
         await server.start(host=args.host, port=args.port)
         budgets = (
-            f"durable ({ledger_dir}, fsync={args.ledger_fsync})"
-            if ledger_dir
+            f"durable ({config.ledger_dir}, fsync={config.ledger_fsync})"
+            if config.ledger_dir
             else "in-memory (reset on restart; set --ledger-dir)"
         )
         print(
             f"serving on http://{args.host}:{server.port} "
-            f"(floor={args.floor}, window={args.batch_window}s, "
-            f"batch_max={args.batch_max}, audit_rate={args.audit_rate}, "
-            f"budgets {budgets})",
+            f"(floor={config.floor}, window={config.batch_window}s, "
+            f"batch_max={config.batch_max}, "
+            f"audit_rate={config.audit_rate}, budgets {budgets})",
             flush=True,
         )
         try:

@@ -16,7 +16,8 @@ See :mod:`repro.serving.server` for the architecture overview and
 from .audit import AuditFinding, OnlineAuditor, expected_response_matrix
 from .batching import MicroBatcher
 from .client import HTTPServingClient, InProcessClient
-from .fallback import DEGRADED_MODES, fallback_spec, resolve_fallbacks
+from .config import DEGRADED_MODES, ServerConfig
+from .fallback import fallback_spec, resolve_fallbacks
 from .faults import (
     CRASH_POINTS,
     FLEET_FAULTS,
@@ -43,6 +44,7 @@ __all__ = [
     "HTTPServingClient",
     "InProcessClient",
     "MechanismServer",
+    "ServerConfig",
     "ServingSupervisor",
     "make_listen_socket",
     "AdmissionController",

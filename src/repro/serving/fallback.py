@@ -44,10 +44,7 @@ from __future__ import annotations
 
 from ..release.artifacts import ArtifactSpec
 
-__all__ = ["DEGRADED_MODES", "fallback_spec", "resolve_fallbacks"]
-
-#: What to do with traffic for a quarantined deployment.
-DEGRADED_MODES = ("503", "geometric")
+__all__ = ["fallback_spec", "resolve_fallbacks"]
 
 
 def fallback_spec(spec: ArtifactSpec) -> ArtifactSpec | None:

@@ -1,89 +1,60 @@
 """The mechanism-serving subsystem: ``repro serve``.
 
-The paper's deployment story is inherently multi-tenant: ONE published
-geometric release serves every minimax consumer optimally (Theorem 1),
-and heterogeneous deployments (different ``n``, ``alpha``, bespoke
-side-information mechanisms) coexist behind one statistic service. This
-module is that serving layer, built exclusively from pieces the pipeline
-has already *proved*:
+One published geometric release serves every minimax consumer optimally
+(Theorem 1), so heterogeneous deployments (different ``n``, ``alpha``,
+bespoke side-information mechanisms) share one statistic service, built
+only from pieces the pipeline has already *proved*:
 
-* mechanisms come from compiled :class:`~repro.release.artifacts.MechanismArtifact`
-  entries in an :class:`~repro.release.artifacts.ArtifactStore` — never
-  from a solver: a spec that was not pre-compiled (``repro compile``,
-  including ``--side-grid`` pre-warming) is a 404, so the request path
-  is zero-solve by construction;
-* each artifact is **verified on load** (certificate replay, exact
-  pmf-law re-derivation, bit-exact alias-table reconstruction) before it
-  may serve a single response;
+* mechanisms come from compiled, **load-verified** artifacts in an
+  :class:`~repro.release.artifacts.ArtifactStore` — an uncompiled spec
+  is a 404, so the request path never runs a solver, and an artifact
+  that fails verification is quarantined (a 503 on it alone);
 * concurrent requests are micro-batched
-  (:class:`~repro.serving.batching.MicroBatcher`) into fused
-  :class:`~repro.sampling.alias.HeterogeneousAliasSampler` gathers —
-  mixed ``n``/``alpha`` deployments in one numpy tick;
-* every release is charged to the requesting user's budget in one
-  :class:`~repro.release.durable_ledger.MemoryLedgerBook` *before*
-  sampling; exceeding the per-user floor is an HTTP 429, and the
-  charge-or-reject is atomic so racers can never overspend. With
-  ``ledger_dir=`` the book is a crash-safe
-  :class:`~repro.release.durable_ledger.DurableLedger`: the charge is
-  journaled (and fsync'd — per charge, or once per micro-batch under
-  group commit) *before* the response is released, so a crash can only
-  over-protect, and budgets survive restarts instead of silently
-  refilling (which would be a privacy violation, not an availability
-  bug). Requests may carry an ``"idem"`` idempotency key: a retried
-  publish is answered from the replay journal instead of
-  double-charging;
+  (:class:`~repro.serving.batching.MicroBatcher`) into one fused
+  :class:`~repro.sampling.alias.HeterogeneousAliasSampler` gather;
+* every release is charged to its user's budget *before* sampling, in a
+  :class:`~repro.release.durable_ledger.MemoryLedgerBook` or, with a
+  ledger directory, a crash-safe
+  :class:`~repro.release.durable_ledger.DurableLedger` whose journal is
+  synced before the response is released (a crash can only
+  over-protect). Crossing the floor is a 429; the charge-or-reject is
+  atomic, and an ``"idem"`` key makes a retry replay instead of
+  charging twice;
 * a sampled slice of responses feeds the
-  :class:`~repro.serving.audit.OnlineAuditor`, which periodically
-  replays the accumulated counts against the independently re-derived
-  geometric law — the last line of defense against a kernel tampered
-  *after* load-time verification.
+  :class:`~repro.serving.audit.OnlineAuditor`, which replays it against
+  the geometric law re-derived from the spec;
+* when the WAL stops persisting, the circuit breaker
+  (:mod:`repro.serving.overload`) refuses charges or turns the book
+  volatile until a probe recovers it and backfills the outage.
 
-When the WAL stops persisting, the circuit breaker
-(:mod:`repro.serving.overload`) either refuses charges or, under the
-memory policy, turns the same book volatile; its half-open probe asks
-the book to recover, which also backfills the outage's charges.
+A publish runs four stages over one request record — parse, charge,
+sample, respond — and every answer leaves through
+:meth:`MechanismServer.reply`, which counts it. The settings live in one
+:class:`~repro.serving.config.ServerConfig`; HTTP/1.1 framing, limits and
+the wire's refusals live in :mod:`repro.serving.edge`. Every request,
+over a socket or in process, enters through
+:meth:`MechanismServer.handle_request`::
 
-Transport is stdlib-only: HTTP/1.1 (keep-alive) on
-:func:`asyncio.start_server` for real sockets (``curl``-able), plus the
-zero-copy in-process path (:meth:`MechanismServer.handle_request`) used
-by tests, benchmarks, and co-located clients.
-
-Request/response shape (``POST /publish``)::
-
-    {"user": "gov", "n": 100, "alpha": "1/2", "true_result": 42,
-     "idem": "optional-retry-key"}
+    POST /publish {"user": "gov", "n": 100, "alpha": "1/2",
+                   "true_result": 42, "idem": "optional-retry-key"}
       -> 200 {"value": 41, "alpha": "1/2", "n": 100, ...}
       -> 404 unknown/uncompiled deployment
       -> 429 {"error": "..."} when the user's budget floor is hit
       -> 503 quarantined deployment or unavailable durable ledger
 
-Resilience: artifacts that fail load-time verification are
-**quarantined** (503 on that deployment, the rest of the store serves);
-``SIGTERM``/``SIGINT`` trigger a graceful drain (stop accepting, await
-open connections up to ``drain_deadline``, flush the batcher, fsync and
-close the ledger).
-
-``GET /healthz``, ``GET /artifacts``, ``GET /metrics``, and
-``GET /ledger/<user>`` expose liveness + ledger/WAL health, the
-deployment list, counters + audit findings, and per-user accounting.
-
-Telemetry (PR 9): the server carries a :class:`repro.obs.Telemetry` —
-on by default; pass ``telemetry=False`` for the bare pre-telemetry
-server — giving it labeled Prometheus metrics (``GET /metrics``
-content-negotiates the text exposition; the JSON shape above remains
-the default), sampled end-to-end request traces (``--trace-rate`` /
-``--trace-dir``; ring served at ``GET /trace/recent``), and budget
-burn-rate gauges with a ``GET /obs/burn`` drill-down. A traced publish
-carries one trace ID across ``server.publish`` → ``ledger.charge`` →
-``wal.append`` → ``wal.fsync`` → ``batch.flush`` → ``sampler.gather``,
-the batch-scoped spans broadcast by the micro-batcher.
+``GET /healthz``, ``/readyz``, ``/artifacts``, ``/metrics`` (JSON, or
+the Prometheus text exposition), ``/ledger/<user>``, ``/trace/recent``
+and ``/obs/burn`` expose liveness, readiness, the deployments, counters
+and audit findings, per-user accounting, the span ring and the budget
+burn-down. ``SIGTERM``/``SIGINT`` drain gracefully: stop accepting,
+await open connections, flush the batcher, fsync and close the ledger.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
+import functools
 import math
 import signal
 import sys
@@ -115,45 +86,31 @@ from ..sampling.alias import HeterogeneousAliasSampler
 from ..sampling.rng import ensure_generator
 from .audit import OnlineAuditor
 from .batching import MicroBatcher
-from .fallback import DEGRADED_MODES, resolve_fallbacks
+from .config import ServerConfig
+from .edge import serve_connection
+from .fallback import resolve_fallbacks
 from .overload import AdmissionController, WALCircuitBreaker
 
 __all__ = ["MechanismServer"]
-
-#: CLI spellings of the WAL failure policies (the flag names are the
-#: self-describing long forms; the breaker uses the short ones).
-_WAL_POLICY_ALIASES = {
-    "reject-new-charges": "reject",
-    "memory-mode-with-alarm": "memory",
-    "reject": "reject",
-    "memory": "memory",
-}
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 #: Idempotency keys above this length are rejected (they are journaled;
 #: unbounded keys would be a disk-growth vector).
 _MAX_IDEM = 128
 
-#: Request bodies above this are rejected outright (a publish payload is
-#: tiny; anything bigger is a client bug or abuse).
-_MAX_BODY = 1 << 16
-
 #: Sentinel distinguishing "cached as invalid" from "not cached".
 _UNCACHED = object()
 
 #: Deferred latency samples fold into the histograms at this many
-#: pending pairs (and at every scrape) — bounds memory between scrapes
-#: while keeping the per-request cost to a tuple append.
+#: pending pairs (and at every scrape), bounding memory between scrapes.
 _LATENCY_FOLD_CAP = 65536
+
+#: The counters of ``GET /metrics``'s JSON ``"metrics"`` object, in order.
+_COUNTERS = (
+    "requests", "published", "replayed", "rejected_budget", "not_found",
+    "bad_request", "quarantined_requests", "shed", "degraded",
+    "breaker_rejected", "brownout_skips", "ledger_unavailable", "errors",
+    "audit_recorded", "audit_sweeps", "audit_flagged",
+)
 
 
 def _parse_query(query: str) -> dict:
@@ -185,13 +142,26 @@ class _Deployment:
         self.spec = spec
         self.artifact = artifact
         self.verification = verification
-        # Telemetry: the pre-resolved latency-histogram child for this
-        # deployment's spec-key label (None when telemetry is off) and a
-        # plain charge count the scrape-time collector turns into the
-        # epsilon-spent gauge — the hot path pays one histogram observe
-        # and one integer increment, never a label resolution.
+        # Telemetry: the pre-resolved latency-histogram child (None when
+        # telemetry is off) and the charge count behind the
+        # epsilon-spent gauge — the hot path never resolves a label.
         self.latency = None
         self.charges = 0
+
+
+class _Request:
+    """One publish in flight: the payload, then what each stage found."""
+
+    __slots__ = (
+        "payload", "t0", "trace", "user", "key", "alpha", "deployment",
+        "degraded_from", "row", "idem", "decision", "value",
+    )
+
+    def __init__(self, payload: dict, t0: float, trace) -> None:
+        self.payload = payload
+        self.t0 = t0
+        self.trace = trace
+        self.degraded_from = None
 
 
 class MechanismServer:
@@ -203,220 +173,92 @@ class MechanismServer:
         The :class:`~repro.release.artifacts.ArtifactStore` (or a path /
         ``None`` for the ``REPRO_ARTIFACT_DIR`` default) holding the
         compiled deployments.
-    floor:
-        Per-user privacy floor handed to each user's ledger; ``0``
-        disables budget enforcement (accounting is still recorded).
-    ledger_dir:
-        When given, budgets live in a crash-safe
-        :class:`~repro.release.durable_ledger.DurableLedger` at this
-        directory (shared by N worker processes; budgets survive
-        restarts). ``None`` keeps the in-memory book.
-    ledger / ledger_fsync:
-        ``ledger`` passes a pre-built ledger book directly (overrides
-        ``ledger_dir``/``floor`` wiring); ``ledger_fsync`` picks the
-        journal policy for a ``ledger_dir`` book — the default
-        ``"group"`` amortizes one fsync per micro-batch flush (group
-        commit), which keeps the release-implies-durable invariant
-        because every batch is synced before its futures resolve.
-    drain_deadline:
-        Seconds :meth:`stop` waits for in-flight connections before
-        cancelling them.
+    config / settings:
+        A :class:`~repro.serving.config.ServerConfig`, or its fields as
+        keywords (``floor=``, ``ledger_dir=``, ``batch_window=``, …);
+        every setting, its default and its validation are documented
+        there. An unknown keyword raises.
+    ledger:
+        A pre-built ledger book, used instead of the one ``ledger_dir``
+        and ``floor`` would build.
     faults:
         A :class:`~repro.serving.faults.FaultInjector` threaded through
         the batcher and durable ledger (chaos testing only).
-    batch_window:
-        Micro-batch deadline in seconds (see
-        :class:`~repro.serving.batching.MicroBatcher`); ``0`` disables
-        batching.
-    batch_max:
-        Micro-batch size bound.
-    audit_rate:
-        Fraction of responses fed to the online auditor; ``0`` disables
-        the hook.
-    audit_every:
-        Run an audit sweep every this-many executed batches (``0``
-        means only on explicit :meth:`audit` calls).
-    verify:
-        Verify every artifact on load (default). Loading an unverified
-        artifact requires an explicit ``verify=False`` on
-        :meth:`load_artifact` — the tamper-injection path used by the
-        serving benchmark to prove the online audit catches what load
-        verification was prevented from seeing.
-    seed / audit_seed:
-        Seeds for the sampling RNG and the auditor's slice RNG.
-    telemetry:
-        ``None`` (default) builds a :class:`repro.obs.Telemetry` over a
-        private registry (merged with the process default registry —
-        where the solver layer reports — at scrape time);
-        ``False`` disables telemetry entirely (the configuration
-        ``benchmarks/bench_observability.py`` measures overhead
-        against); an explicit :class:`~repro.obs.Telemetry` is adopted
-        as-is (shared registries across servers included).
-    trace_rate / trace_dir / trace_ring / trace_seed:
-        Tracer construction for the default telemetry: the fraction of
-        requests traced end-to-end, the directory receiving the JSONL
-        span log (``None`` keeps the in-memory ring only), the ring
-        capacity behind ``GET /trace/recent``, and the sampling seed.
-    queue_depth / shed_deadline:
-        Admission control (PR 10): the bound on in-flight publishes and
-        the deadline (seconds) above which a request's estimated queue
-        wait sheds it — both enforced *before* any ledger charge, with
-        429/503 + ``Retry-After``. ``0``/``0.0`` (the defaults) disable
-        the gate entirely (no per-request overhead).
-    degraded:
-        ``"503"`` (default) keeps quarantine semantics; ``"geometric"``
-        serves the certificate-verified geometric artifact at the same
-        ``(n, alpha)`` in place of a quarantined bespoke one, with
-        responses marked ``degraded`` (see :mod:`repro.serving.fallback`
-        for the universality justification).
-    wal_failure_policy / breaker_cooldown:
-        What a charge means while the WAL cannot persist
-        (``"reject-new-charges"``/``"reject"`` or
-        ``"memory-mode-with-alarm"``/``"memory"``), and the circuit
-        breaker's half-open probe interval in seconds.
-    worker_id:
-        Fleet slot label (set by the supervisor) echoed in
-        ``/healthz``/``/readyz`` responses.
     """
 
     def __init__(
-        self,
-        store=None,
-        *,
-        floor=0,
-        ledger_dir=None,
-        ledger=None,
-        ledger_fsync: str = "group",
-        drain_deadline: float = 5.0,
-        faults=None,
-        batch_window: float = 0.002,
-        batch_max: int = 4096,
-        audit_rate: float = 0.05,
-        audit_every: int = 64,
-        verify: bool = True,
-        seed=None,
-        audit_seed=None,
-        telemetry=None,
-        trace_rate: float = 0.0,
-        trace_dir=None,
-        trace_ring: int = 1024,
-        trace_seed=None,
-        queue_depth: int = 0,
-        shed_deadline: float = 0.0,
-        degraded: str = "503",
-        wal_failure_policy: str = "reject",
-        breaker_cooldown: float = 1.0,
-        worker_id=None,
+        self, store=None, *, config: ServerConfig | None = None,
+        ledger=None, faults=None, **settings,
     ) -> None:
+        if config is None:
+            config = ServerConfig.of(settings)
+        elif settings:
+            raise ValidationError(
+                f"pass settings in config= or as keywords, not both: "
+                f"{', '.join(sorted(settings))}"
+            )
+        self.config = config
         self.store = resolve_artifact_store(store)
         if self.store is None:
             raise ReproError(
                 "MechanismServer needs an artifact store: pass one (or a "
                 "path) or set REPRO_ARTIFACT_DIR"
             )
-        self.floor = floor
-        self.verify = bool(verify)
-        self.drain_deadline = float(drain_deadline)
         self.faults = faults if faults is not None else NO_FAULTS
-        self._rng = ensure_generator(seed)
+        self._rng = ensure_generator(config.seed)
         self._deployments: dict[str, _Deployment] = {}
         self._quarantined: dict[str, dict] = {}
         self._samplers: list = []
         self._fused: HeterogeneousAliasSampler | None = None
-        if telemetry is False:
-            obs = None
-            self._owns_telemetry = False
-        elif telemetry is None:
+        obs = None
+        if config.telemetry:
             obs = Telemetry(
                 MetricsRegistry(),
-                trace_rate=trace_rate,
-                trace_dir=trace_dir,
-                trace_ring=trace_ring,
-                trace_seed=trace_seed,
+                trace_rate=config.trace_rate,
+                trace_dir=config.trace_dir,
+                trace_ring=config.trace_ring,
+                trace_seed=config.trace_seed,
             )
-            self._owns_telemetry = True
-        else:
-            obs = telemetry
-            self._owns_telemetry = False
-        self.telemetry = obs
-        self._obs = obs
-        # Precomputed hot-path handles. The publish path must stay
-        # within the bench-enforced overhead ceiling, so the per-request
-        # telemetry work is all C-level: the sampling coin is a bound
-        # RNG draw, the active-trace check a bound ContextVar.get, and
-        # request/outcome tallies are plain dicts that the scrape-time
-        # collector mirrors into the Prometheus families.
-        self._may_trace = obs is not None and obs.tracer.rate > 0.0
-        self._trace_rate = obs.tracer.rate if obs is not None else 0.0
-        self._trace_coin = obs.tracer.coin if obs is not None else None
-        self._trace_begin = obs.tracer.begin if obs is not None else None
+        self.telemetry = self._obs = obs
+        # Hot-path tallies are plain dicts that the scrape-time collector
+        # mirrors into the Prometheus families.
+        self._trace_rate = 0.0 if obs is None else obs.tracer.rate
         self._status_counts: dict[int, int] = {}
-        self._outcome_counts = {
-            "charged": 0, "rejected": 0, "replayed": 0, "pending": 0
-        }
+        self._outcome_counts = dict.fromkeys(
+            ("charged", "rejected", "replayed", "pending"), 0
+        )
         self._latency_pending: list = []
         if ledger is not None:
             self.ledgers = ledger
             if obs is not None and getattr(ledger, "telemetry", None) is None:
                 self.ledgers.telemetry = obs
-        elif ledger_dir is not None:
+        elif config.ledger_dir is not None:
             self.ledgers = DurableLedger(
-                ledger_dir, floor, fsync=ledger_fsync, faults=self.faults,
-                telemetry=obs,
+                config.ledger_dir, config.floor, fsync=config.ledger_fsync,
+                faults=self.faults, telemetry=obs,
             )
         else:
-            self.ledgers = MemoryLedgerBook(floor)
-        if degraded not in DEGRADED_MODES:
-            raise ValidationError(
-                f"degraded mode must be one of {DEGRADED_MODES}, got "
-                f"{degraded!r}"
-            )
-        self.degraded = degraded
-        self.worker_id = worker_id
-        policy = _WAL_POLICY_ALIASES.get(wal_failure_policy)
-        if policy is None:
-            raise ValidationError(
-                "wal_failure_policy must be one of "
-                f"{sorted(_WAL_POLICY_ALIASES)}, got {wal_failure_policy!r}"
-            )
+            self.ledgers = MemoryLedgerBook(config.floor)
         self.admission = (
-            AdmissionController(int(queue_depth), float(shed_deadline))
-            if (queue_depth or shed_deadline)
+            AdmissionController(config.queue_depth, config.shed_deadline)
+            if (config.queue_depth or config.shed_deadline)
             else None
         )
         self.breaker = WALCircuitBreaker(
-            policy=policy, cooldown=breaker_cooldown
+            policy=config.wal_failure_policy, cooldown=config.breaker_cooldown
         )
         self._spec_cache: dict[tuple, tuple[str, Fraction] | None] = {}
         self.auditor = OnlineAuditor(
-            rate=audit_rate, rng=audit_seed
+            rate=config.audit_rate, rng=config.audit_seed
         )
-        self.audit_every = int(audit_every)
         self._batches_since_sweep = 0
         self.batcher = MicroBatcher(
-            self._execute, window=batch_window, max_size=batch_max,
-            faults=self.faults, telemetry=obs,
+            self._execute, window=config.batch_window,
+            max_size=config.batch_max, faults=self.faults, telemetry=obs,
         )
         if obs is not None:
             obs.registry.register_collector(self._collect_gauges)
-        self.metrics = {
-            "requests": 0,
-            "published": 0,
-            "replayed": 0,
-            "rejected_budget": 0,
-            "not_found": 0,
-            "bad_request": 0,
-            "quarantined_requests": 0,
-            "shed": 0,
-            "degraded": 0,
-            "breaker_rejected": 0,
-            "brownout_skips": 0,
-            "ledger_unavailable": 0,
-            "errors": 0,
-            "audit_recorded": 0,
-            "audit_sweeps": 0,
-            "audit_flagged": 0,
-        }
+        self.metrics = dict.fromkeys(_COUNTERS, 0)
         self._http_server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
         self._shutdown: asyncio.Event | None = None
@@ -443,14 +285,14 @@ class MechanismServer:
             )
         return self.load_artifact(artifact)
 
-    def load_artifact(self, artifact, *, verify: bool | None = None) -> int:
+    def load_artifact(self, artifact, *, verify: bool = True) -> int:
         """Register an artifact for serving; returns its batcher index.
 
-        ``verify`` defaults to the server-wide setting; a verification
-        failure refuses the deployment. Passing ``verify=False`` is the
-        deliberately-unsafe injection port for audit testing.
+        A verification failure refuses the deployment. Passing
+        ``verify=False`` is the deliberately-unsafe injection port for
+        audit testing: the online audit must catch what load
+        verification was prevented from seeing.
         """
-        verify = self.verify if verify is None else bool(verify)
         spec = artifact.spec
         existing = self._deployments.get(spec.key())
         if existing is not None:
@@ -498,11 +340,8 @@ class MechanismServer:
                 }
                 continue
             loaded += 1
-        if self.degraded == "geometric" and self._quarantined:
-            # Certified graceful degradation: pair each quarantined
-            # bespoke deployment with the verified geometric artifact at
-            # the same (n, alpha) — see serving/fallback.py for why that
-            # is exactly privacy-preserving and minimax-utility-safe.
+        if self.config.degraded == "geometric" and self._quarantined:
+            # Certified graceful degradation: see serving/fallback.py.
             resolve_fallbacks(self)
         return loaded
 
@@ -520,9 +359,8 @@ class MechanismServer:
         obs = self._obs
         if obs is not None:
             t0 = time.perf_counter()
-            # Batch-scoped span: the batcher has bound this batch's
-            # traced requests, so the fused gather lands in each of
-            # their traces.
+            # Batch-scoped: the gather lands in every traced request's
+            # trace.
             with obs.tracer.span("sampler.gather", queries=len(tables)):
                 values = self._fused.sample(tables, rows, self._rng)
             obs.gather_latency.observe(time.perf_counter() - t0)
@@ -537,18 +375,15 @@ class MechanismServer:
         except LedgerUnavailableError as err:
             self._trip_wal(str(err))
             if self.breaker.policy != "memory":
-                # Fail this batch's futures: the charges may be on disk
-                # but cannot be proven durable, so the responses are
-                # withheld (over-protects the users, never under).
+                # Fail the batch: its charges cannot be proven durable,
+                # so the responses are withheld (over-protects).
                 raise
             # Memory policy: the book went volatile with this batch's
-            # charges already counted, so the floor keeps binding; the
-            # batch releases marked volatile.
+            # charges counted; the batch releases marked volatile.
         admission = self.admission
         if admission is not None and admission.brownout:
-            # Brownout: shed our own optional work before any more user
-            # requests — the audit slice can skip a tick, user traffic
-            # cannot. Loud, never silent.
+            # Brownout: the audit slice skips a tick before any user
+            # request is shed — counted, never silent.
             self.metrics["brownout_skips"] += 1
             if self._obs is not None:
                 self._obs.brownout_skips.labels("audit").inc()
@@ -556,9 +391,9 @@ class MechanismServer:
             recorded = self.auditor.observe(tables, rows, values)
             if recorded:
                 self.metrics["audit_recorded"] += recorded
-        if self.audit_every > 0:
+        if self.config.audit_every > 0:
             self._batches_since_sweep += 1
-            if self._batches_since_sweep >= self.audit_every:
+            if self._batches_since_sweep >= self.config.audit_every:
                 self.audit()
         return values
 
@@ -588,14 +423,9 @@ class MechanismServer:
         return findings
 
     def _fold_latency(self) -> None:
-        """Fold deferred latency samples into the histogram children.
-
-        The request path records raw ``(deployment, elapsed)`` pairs
-        (two C-level ops); this fold buckets them per deployment in one
-        ``observe_many`` batch pass. Runs at every scrape/snapshot and
-        whenever the pending list hits :data:`_LATENCY_FOLD_CAP`, which
-        bounds deferred memory.
-        """
+        """Fold the request path's raw ``(deployment, elapsed)`` pairs
+        into the histogram children, one ``observe_many`` pass per
+        deployment: at every scrape and at :data:`_LATENCY_FOLD_CAP`."""
         pending = self._latency_pending
         if not pending:
             return
@@ -613,17 +443,13 @@ class MechanismServer:
     def _collect_gauges(self) -> None:
         """Scrape-time collector: request tallies, budget burn, WAL.
 
-        Registered on the telemetry registry, so the work — mirroring
-        the hot-path dict tallies into their Prometheus families — happens
-        per scrape/snapshot, never on the request path. The burn gauges
+        The hot-path dict tallies are mirrored into their Prometheus
+        families here, per scrape, never per request. The burn gauges
         cost O(metric series), not O(users): the book keeps the
         floor-proximity counts and the top burners current on every
-        charge, and :meth:`~repro.release.durable_ledger.MemoryLedgerBook.burn_summary`
-        reads them under one lock (and, for a durable book, one flock
-        and one catch-up). Only the first scrape after the book loads
-        walks its users. ``GET /obs/burn`` still walks every user: it is
-        the operator drill-down. Never raises: a scrape must not fail
-        because the ledger is mid-shutdown.
+        charge (see ``MemoryLedgerBook.burn_summary``); ``GET /obs/burn``
+        is the drill-down that walks every user. Never raises: a scrape
+        must not fail because the ledger is mid-shutdown.
         """
         obs = self._obs
         try:
@@ -656,21 +482,17 @@ class MechanismServer:
                 obs.admission_brownout.set(
                     1.0 if admission.brownout else 0.0
                 )
-            if self.degraded == "geometric":
-                obs.degraded_deployments.set(
-                    float(
-                        sum(
-                            1
-                            for q in self._quarantined.values()
-                            if q.get("fallback_key") is not None
-                        )
-                    )
-                )
+            if self.config.degraded == "geometric":
+                fallbacks = [
+                    q for q in self._quarantined.values()
+                    if q.get("fallback_key") is not None
+                ]
+                obs.degraded_deployments.set(float(len(fallbacks)))
             obs.worker_ready.set(1.0 if self.readiness()[0] else 0.0)
         except Exception:  # noqa: BLE001 - scrapes must stay available
             pass
 
-    # -- request handling ----------------------------------------------
+    # -- the publish pipeline ------------------------------------------
     def _resolve_spec(self, payload: dict) -> tuple[str, Fraction] | None:
         """Map request deployment fields to ``(spec key, exact alpha)``.
 
@@ -716,17 +538,24 @@ class MechanismServer:
         self._spec_cache[cache_key] = resolved
         return resolved
 
+    def reply(self, status: int, counter: str, body: dict) -> tuple[int, dict]:
+        """Count one answer under its ``metrics`` key and its status, and
+        return it: the one exit of every publish stage and of the HTTP
+        edge's refusals."""
+        self.metrics[counter] += 1
+        counts = self._status_counts
+        counts[status] = counts.get(status, 0) + 1
+        return status, body
+
     async def publish(self, payload: dict) -> tuple[int, dict]:
         """The core serving operation; returns ``(status, response)``.
 
-        With admission control on, the bounded-queue/deadline gate runs
-        here, strictly before any ledger interaction: a shed request
-        (429 queue-full / 503 deadline, both with ``Retry-After``)
-        provably spent zero budget, so clients retry it freely without
-        an idempotency key. One admitted ticket is held per request and
-        returned in a ``finally`` — even an injected crash (a
-        ``BaseException``) gives the slot back, so the in-flight count
-        can never leak upward.
+        With admission control on, the queue/deadline gate runs here,
+        before any ledger interaction: a shed request (429 queue-full or
+        503 deadline, with ``Retry-After``) provably spent nothing, so
+        clients retry it freely. The admitted ticket is returned in a
+        ``finally``, so even an injected crash cannot leak the in-flight
+        count upward.
         """
         admission = self.admission
         if admission is None:
@@ -740,18 +569,15 @@ class MechanismServer:
                 deadline = None
         shed = admission.try_admit(deadline)
         if shed is not None:
-            self.metrics["shed"] += 1
             if self._obs is not None:
                 self._obs.sheds.labels(shed.reason).inc()
-                counts = self._status_counts
-                counts[shed.status] = counts.get(shed.status, 0) + 1
-            return shed.status, {
+            return self.reply(shed.status, "shed", {
                 "error": "overloaded: the request was shed before any "
                 "budget charge; retry after the hinted delay (no "
                 "idempotency key needed — nothing was spent)",
                 "shed": shed.reason,
                 "retry_after": round(shed.retry_after, 4),
-            }
+            })
         t_admit = time.perf_counter()
         try:
             return await self._observed_publish(payload)
@@ -759,237 +585,229 @@ class MechanismServer:
             admission.release(time.perf_counter() - t_admit)
 
     async def _observed_publish(self, payload: dict) -> tuple[int, dict]:
-        """Telemetry wrapper: one latency clock, the per-status request
-        counter, and — for the sampled fraction — the root
-        ``server.publish`` span bound to the task so every layer below
-        joins the same trace. Traced responses carry the trace ID under
-        ``"trace"``. Under brownout the trace coin is skipped entirely
-        (optional work sheds first) and the skip is counted.
+        """Telemetry wrapper: one latency clock and, for the sampled
+        fraction, the root ``server.publish`` span that every layer below
+        joins; traced responses carry ``"trace"``. Under brownout the
+        trace coin is skipped (optional work sheds first), counted.
         """
         obs = self._obs
         if obs is None:
-            return await self._publish(payload, 0.0)
+            return await self._publish(payload, 0.0, None)
         t0 = time.perf_counter()
+        rate = self._trace_rate
         ctx = None
-        admission = self.admission
-        if self._may_trace and admission is not None and admission.brownout:
-            self.metrics["brownout_skips"] += 1
-            obs.brownout_skips.labels("trace").inc()
-        elif self._may_trace:
-            # Inline of Tracer.sample: one C-level RNG draw decides,
-            # and only the sampled fraction constructs a context.
-            rate = self._trace_rate
-            if rate >= 1.0 or self._trace_coin() < rate:
-                ctx = self._trace_begin()
+        if rate > 0.0:
+            admission = self.admission
+            if admission is not None and admission.brownout:
+                self.metrics["brownout_skips"] += 1
+                obs.brownout_skips.labels("trace").inc()
+            elif rate >= 1.0 or obs.tracer.coin() < rate:
+                # Inline of Tracer.sample: one C-level RNG draw decides,
+                # and only the sampled fraction constructs a context.
+                ctx = obs.tracer.begin()
         if ctx is None:
-            status, response = await self._publish(payload, t0)
-        else:
-            token = obs.tracer.activate(ctx)
-            try:
-                with obs.tracer.span("server.publish"):
-                    status, response = await self._publish(payload, t0, ctx)
-            finally:
-                obs.tracer.deactivate(token)
-            response["trace"] = ctx.trace_id
-        counts = self._status_counts
-        counts[status] = counts.get(status, 0) + 1
+            return await self._publish(payload, t0, None)
+        token = obs.tracer.activate(ctx)
+        try:
+            with obs.tracer.span("server.publish"):
+                status, response = await self._publish(payload, t0, ctx)
+        finally:
+            obs.tracer.deactivate(token)
+        response["trace"] = ctx.trace_id
         return status, response
 
-    async def _publish(
-        self, payload: dict, t0: float, trace_ctx=None
-    ) -> tuple[int, dict]:
+    async def _publish(self, payload: dict, t0: float, trace):
+        """The stages, in order; each returns ``None`` to go on or the
+        ``(status, body)`` that ends the request."""
         self.metrics["requests"] += 1
+        request = _Request(payload, t0, trace)
+        return (
+            self._parse(request)
+            or self._charge(request)
+            or await self._sample(request)
+            or self._respond(request)
+        )
+
+    def _parse(self, req: _Request):
+        """User, spec, deployment, row and idempotency key, with the 400,
+        404 and quarantined-503 refusals."""
+        payload = req.payload
         user = payload.get("user")
         if not isinstance(user, str) or not user:
-            self.metrics["bad_request"] += 1
-            return 400, {"error": "payload needs a non-empty string 'user'"}
+            return self.reply(400, "bad_request", {
+                "error": "payload needs a non-empty string 'user'"
+            })
         try:
             key, alpha = self._resolve_spec(payload)
         except ValidationError as err:
-            self.metrics["bad_request"] += 1
-            return 400, {"error": str(err)}
-        degraded_from = None
+            return self.reply(400, "bad_request", {"error": str(err)})
         quarantined = self._quarantined.get(key)
         if quarantined is not None:
-            fallback = None
-            if self.degraded == "geometric":
-                fb_key = quarantined.get("fallback_key")
-                if fb_key is not None:
-                    fallback = self._deployments.get(fb_key)
-            if fallback is None:
-                self.metrics["quarantined_requests"] += 1
-                return 503, {
+            # Certified degradation (``--degraded geometric`` attached a
+            # fallback): the same-(n, alpha) geometric artifact is
+            # alpha-private under the identical constraint and
+            # universally optimal for minimax agents (Theorem 1), so the
+            # response is marked degraded but never weaker.
+            deployment = self._deployments.get(quarantined.get("fallback_key"))
+            if deployment is None:
+                return self.reply(503, "quarantined_requests", {
                     "error": "deployment is quarantined (failed load-time "
                     "verification); recompile it with `repro compile`",
                     "reason": quarantined["reason"],
                     "key": key[:12],
-                }
-            # Certified degradation: the same-(n, alpha) geometric
-            # artifact is alpha-private under the identical constraint
-            # and universally optimal for minimax agents (Theorem 1), so
-            # the response is marked degraded but never weaker.
-            degraded_from = key
-            deployment = fallback
-            key = fallback.spec.key()
+                })
+            req.degraded_from, key = key, deployment.spec.key()
         else:
             deployment = self._deployments.get(key)
             if deployment is None:
-                self.metrics["not_found"] += 1
-                return 404, {
+                return self.reply(404, "not_found", {
                     "error": "deployment is not compiled/loaded; pre-warm "
                     "it with `repro compile` (use --side-grid for "
                     "side-information artifacts)",
                     "key": key[:12],
-                }
+                })
         try:
             row = int(payload["true_result"])
         except (KeyError, TypeError, ValueError):
-            self.metrics["bad_request"] += 1
-            return 400, {"error": "payload needs an integer 'true_result'"}
+            return self.reply(400, "bad_request", {
+                "error": "payload needs an integer 'true_result'"
+            })
         if not 0 <= row <= deployment.spec.n:
-            self.metrics["bad_request"] += 1
-            return 400, {
+            return self.reply(400, "bad_request", {
                 "error": f"true_result must lie in [0, {deployment.spec.n}]"
-            }
+            })
         idem = payload.get("idem")
         if idem is not None and not (
             isinstance(idem, str) and 0 < len(idem) <= _MAX_IDEM
         ):
-            self.metrics["bad_request"] += 1
-            return 400, {
+            return self.reply(400, "bad_request", {
                 "error": "optional 'idem' must be a non-empty string of "
                 f"at most {_MAX_IDEM} characters"
-            }
-        obs = self._obs
-        # WAL circuit breaker: while open, "reject" refuses the charge
-        # outright (503 + Retry-After, nothing spent, nothing released)
-        # and "memory" charges the volatile book, alarm-marked. The
-        # half-open probe piggybacks on request arrival — no timer task.
+            })
+        req.user, req.key, req.alpha = user, key, alpha
+        req.deployment, req.row, req.idem = deployment, row, idem
+        return None
+
+    def _charge(self, req: _Request):
+        """Breaker, book and replay, with the 429 and 503 refusals.
+
+        An open WAL breaker refuses the charge ("reject") or charges the
+        volatile book ("memory"); its half-open probe rides on request
+        arrival. The atomic charge-or-reject is committed (journaled,
+        for a durable book) before the draw, so a crash can only
+        over-protect.
+        """
         breaker = self.breaker
         if breaker.open:
             if breaker.should_probe():
                 self._recover_wal()
             if breaker.open and breaker.policy == "reject":
-                self.metrics["breaker_rejected"] += 1
-                return 503, {
+                return self.reply(503, "breaker_rejected", {
                     "error": "privacy WAL is unavailable and the failure "
                     "policy is reject-new-charges: no charge was made and "
                     "no statistic was released",
                     "breaker": "open",
                     "reason": breaker.reason,
                     "retry_after": round(breaker.retry_after(), 4),
-                }
-        # ``trace_ctx`` rides in from the sampling decision in
-        # ``publish``: untraced requests (the vast majority at low
-        # sampling rates) carry ``None`` and skip all span machinery.
-        label = f"serve:{key[:12]}"
+                })
+        user, alpha, idem = req.user, req.alpha, req.idem
+        charge, label = self.ledgers.charge, f"serve:{req.key[:12]}"
         try:
-            # Atomic charge-or-reject: budget is committed (and, for a
-            # durable book, journaled) before the draw, so a crash
-            # mid-batch can only over-protect. A replayed idempotency
-            # key returns the original response without charging again.
-            if trace_ctx is not None:
-                with obs.tracer.span("ledger.charge", user=user):
-                    decision = self.ledgers.charge(
-                        user, alpha, label=label, idem=idem
-                    )
+            if req.trace is None:
+                decision = charge(user, alpha, label=label, idem=idem)
             else:
-                decision = self.ledgers.charge(
-                    user, alpha, label=label, idem=idem
-                )
+                with self._obs.tracer.span("ledger.charge", user=user):
+                    decision = charge(user, alpha, label=label, idem=idem)
         except LedgerUnavailableError as err:
             self._trip_wal(str(err))
             if breaker.policy != "memory":
-                self.metrics["ledger_unavailable"] += 1
-                return 503, {
+                return self.reply(503, "ledger_unavailable", {
                     "error": f"privacy ledger unavailable: {err}; the "
                     "charge was not recorded and no statistic was "
                     "released",
                     "retry_after": round(breaker.retry_after(), 4),
-                }
+                })
             # _trip_wal made the book volatile (the floors it last
             # enforced keep binding); the charge retries in memory and
             # the response is marked "durability": "volatile".
-            decision = self.ledgers.charge(user, alpha, label=label, idem=idem)
-        if obs is not None:
-            self._outcome_counts[decision.outcome] += 1
+            decision = charge(user, alpha, label=label, idem=idem)
+        self._outcome_counts[decision.outcome] += 1
         if decision.outcome == "replayed":
-            self.metrics["replayed"] += 1
             status, response = decision.replay
-            return status, dict(response)
+            return self.reply(status, "replayed", dict(response))
         if decision.outcome == "rejected":
-            self.metrics["rejected_budget"] += 1
-            return 429, {
-                "error": (
-                    f"release at alpha={alpha} would take user {user!r} "
-                    f"below the privacy floor {self.floor}"
-                ),
+            return self.reply(429, "rejected_budget", {
+                "error": f"release at alpha={alpha} would take user "
+                f"{user!r} below the privacy floor {self.config.floor}",
                 "user": user,
                 "cumulative_alpha": str(decision.cumulative_alpha),
                 "remaining_alpha": str(decision.remaining_alpha),
-            }
-        # outcome "charged", or "pending" (the charge was journaled but
-        # the response was lost — the budget is already spent, so
-        # sampling a fresh response spends nothing extra).
+            })
+        # "charged", or "pending": journaled but the response was lost,
+        # so sampling a fresh one spends nothing extra.
+        req.decision = decision
+        return None
+
+    async def _sample(self, req: _Request):
+        """The batch submit: one row of the next fused gather."""
         try:
-            if trace_ctx is not None:
-                value = await self.batcher.submit(
-                    deployment.index, row, trace=trace_ctx
-                )
-            else:
-                value = await self.batcher.submit(deployment.index, row)
+            req.value = await self.batcher.submit(
+                req.deployment.index, req.row, trace=req.trace
+            )
         except LedgerUnavailableError as err:
             # The batch's group-commit fsync failed under the reject
             # policy: the charge may be on disk but cannot be proven
             # durable, so the response is withheld. Over-protects the
             # user's budget; never under.
-            self.metrics["ledger_unavailable"] += 1
-            return 503, {
+            return self.reply(503, "ledger_unavailable", {
                 "error": f"durability lost mid-batch: {err}; the response "
                 "is withheld (the charge, if journaled, only "
                 "over-protects)",
                 "retry_after": round(self.breaker.retry_after(), 4),
-            }
+            })
         except Exception as err:  # the gather is pure numpy; be loud
-            self.metrics["errors"] += 1
-            return 500, {"error": f"sampling failed: {err}"}
-        self.metrics["published"] += 1
+            return self.reply(500, "errors", {
+                "error": f"sampling failed: {err}"
+            })
+        return None
+
+    def _respond(self, req: _Request) -> tuple[int, dict]:
+        """The 200 body and the idempotency record; ``published`` counts
+        only once the body exists."""
+        deployment = req.deployment
+        response = {
+            "value": req.value,
+            "user": req.user,
+            "n": deployment.spec.n,
+            "alpha": str(req.alpha),
+            "key": req.key[:12],
+            "cumulative_alpha": str(req.decision.cumulative_alpha),
+        }
+        obs = self._obs
         if obs is not None:
-            # Deferred latency fold: the hot path only appends
-            # ``(deployment, elapsed)``; bucketing happens in one
-            # batched ``observe_many`` pass at scrape time
-            # (_fold_latency), mirroring how the sampler fuses
-            # per-request draws into one gather.
+            # Deferred: bucketed by _fold_latency at scrape time.
             pending = self._latency_pending
-            pending.append((deployment, time.perf_counter() - t0))
+            pending.append((deployment, time.perf_counter() - req.t0))
             if len(pending) >= _LATENCY_FOLD_CAP:
                 self._fold_latency()
-        response = {
-            "value": value,
-            "user": user,
-            "n": deployment.spec.n,
-            "alpha": str(alpha),
-            "key": key[:12],
-            "cumulative_alpha": str(decision.cumulative_alpha),
-        }
-        if degraded_from is not None:
+        if req.degraded_from is not None:
             response["degraded"] = "geometric"
-            response["requested_key"] = degraded_from[:12]
+            response["requested_key"] = req.degraded_from[:12]
             self.metrics["degraded"] += 1
             if obs is not None:
                 obs.degraded_responses.inc()
         if self.breaker.open and self.breaker.policy == "memory":
-            # The alarm in memory-mode-with-alarm: every volatile
-            # release says so (alongside /healthz, /readyz, and the
-            # breaker gauge) — a durability downgrade is never silent.
+            # The alarm of memory-mode-with-alarm: every volatile
+            # release says so — a durability downgrade is never silent.
             response["durability"] = "volatile"
-        if idem is not None:
+        if req.idem is not None:
             # Best-effort replay journal: losing it downgrades a retry
             # from "replayed" to "pending" (re-sample, never re-charge).
             with contextlib.suppress(LedgerUnavailableError):
-                self.ledgers.record_result(idem, 200, response)
+                self.ledgers.record_result(req.idem, 200, response)
+        answer = self.reply(200, "published", response)
         self.faults.crash("server.before-response")
-        return 200, response
+        return answer
 
     # -- WAL circuit breaker -------------------------------------------
     def _trip_wal(self, reason: str) -> None:
@@ -1035,15 +853,11 @@ class MechanismServer:
 
     # -- readiness ------------------------------------------------------
     def readiness(self) -> tuple[bool, list[str]]:
-        """Readiness, distinct from ``/healthz`` liveness: may this
-        worker take *new* traffic?
-
-        Ready means artifacts are loaded, the server is not draining,
-        and the WAL is writable (breaker closed, ledger not failed). A
-        memory-mode outage is still not-ready — the worker keeps
-        serving volatile responses to clients already talking to it,
-        but a fleet should route fresh traffic elsewhere until
-        durability returns.
+        """May this worker take *new* traffic (``/healthz`` answers
+        "alive")? Ready means artifacts are loaded, the server is not
+        draining, and the WAL is writable. A memory-mode outage is
+        not-ready: clients already here get volatile responses, but a
+        fleet should route fresh traffic elsewhere.
         """
         reasons: list[str] = []
         if not self._deployments:
@@ -1068,16 +882,13 @@ class MechanismServer:
         self, method: str, path: str, payload: dict | None = None,
         headers: dict | None = None,
     ) -> tuple[int, dict]:
-        """Route one request (the transport-independent entry point).
+        """Route one request: the entry point of every transport.
 
-        ``headers`` (lower-cased names) is optional and only consulted
-        for content negotiation: ``GET /metrics`` returns the
-        Prometheus text exposition instead of the legacy JSON shape
-        when the Accept header asks for text/openmetrics (or the query
-        string says ``format=prometheus``). Raw-text responses are
-        conveyed as ``{"__raw__": text, "__content_type__": ...}`` —
-        the HTTP transport unwraps them; in-process callers read the
-        keys directly.
+        ``headers`` (lower-cased names) only matter to ``GET /metrics``,
+        which serves the Prometheus text exposition when the Accept
+        header asks for text/openmetrics (or the query string says
+        ``format=prometheus``), as ``{"__raw__": text,
+        "__content_type__": ...}`` — the HTTP edge writes it verbatim.
         """
         if method == "POST" and path == "/publish":
             return await self.publish(payload or {})
@@ -1113,10 +924,10 @@ class MechanismServer:
                     if getattr(self.ledgers, "durable", False)
                     else "memory"
                 ),
-                "degraded_mode": self.degraded,
+                "degraded_mode": self.config.degraded,
             }
-            if self.worker_id is not None:
-                health["worker"] = self.worker_id
+            if self.config.worker_id is not None:
+                health["worker"] = self.config.worker_id
             if self.admission is not None:
                 health["admission"] = self.admission.snapshot()
             return 200, health
@@ -1126,8 +937,8 @@ class MechanismServer:
             body: dict = {"ready": ready}
             if reasons:
                 body["reasons"] = reasons
-            if self.worker_id is not None:
-                body["worker"] = self.worker_id
+            if self.config.worker_id is not None:
+                body["worker"] = self.config.worker_id
             return (200 if ready else 503), body
         if path == "/artifacts":
             return 200, {
@@ -1142,9 +953,7 @@ class MechanismServer:
                         ),
                         "key": d.spec.key()[:12],
                         "verified": (
-                            d.verification.ok
-                            if d.verification is not None
-                            else False
+                            d.verification is not None and d.verification.ok
                         ),
                     }
                     for d in self._deployments.values()
@@ -1156,9 +965,7 @@ class MechanismServer:
                         "alpha": str(q["spec"].alpha),
                         "key": key[:12],
                         "reason": q["reason"],
-                        # Non-None when --degraded=geometric attached a
-                        # verified geometric fallback serving in its
-                        # place.
+                        # The geometric fallback serving in its place.
                         "degraded_to": (
                             None
                             if q.get("fallback_key") is None
@@ -1176,9 +983,8 @@ class MechanismServer:
                     }
                 text = self._obs.registry.render()
                 if self._obs.registry is not default_registry():
-                    # Merge in the process-default registry, where the
-                    # solver layer (solve cache, artifact store, hybrid
-                    # certification) reports — one scrape, whole stack.
+                    # The solver layer reports into the process-default
+                    # registry: one scrape covers the whole stack.
                     text += default_registry().render()
                 return 200, {
                     "__raw__": text,
@@ -1187,11 +993,7 @@ class MechanismServer:
             return 200, {
                 "metrics": dict(self.metrics),
                 "batcher": dict(self.batcher.stats),
-                "admission": (
-                    None
-                    if self.admission is None
-                    else self.admission.snapshot()
-                ),
+                "admission": self.admission and self.admission.snapshot(),
                 "breaker": self.breaker.snapshot(),
                 "audit": {
                     "rate": self.auditor.rate,
@@ -1260,143 +1062,7 @@ class MechanismServer:
         accept = headers.get("accept", "")
         return any(kind in accept for kind in _PROM_ACCEPT)
 
-    # -- HTTP/1.1 transport --------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        # Registered so a graceful drain can await in-flight handlers
-        # (bounded by drain_deadline) instead of abandoning keep-alive
-        # connections mid-response.
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-
-    async def _serve_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    head = await self._read_head(reader)
-                except ValueError as err:
-                    # Malformed framing (an over-long line, a bad or
-                    # oversized Content-Length): where the next request
-                    # would start is unknown, so answer 400 and close.
-                    self.metrics["bad_request"] += 1
-                    await self._respond(
-                        writer, 400, {"error": f"malformed request: {err}"},
-                        keep_alive=False,
-                    )
-                    break
-                if head is None:
-                    break
-                method, target, headers, length = head
-                body = await reader.readexactly(length) if length else b""
-                status = None
-                payload = None
-                if body:
-                    try:
-                        payload = json.loads(body)
-                        if not isinstance(payload, dict):
-                            raise ValueError("body must be an object")
-                    except ValueError as err:
-                        self.metrics["bad_request"] += 1
-                        status, response = 400, {
-                            "error": f"malformed JSON body: {err}"
-                        }
-                if status is None:
-                    status, response = await self.handle_request(
-                        method, target, payload, headers
-                    )
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                ) and not self._draining
-                await self._respond(
-                    writer, status, response, keep_alive=keep_alive
-                )
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    async def _read_head(reader):
-        """Read one request head as ``(method, target, headers, body
-        length)``; ``None`` at end of stream. Raises ``ValueError`` for
-        malformed framing — the stream reader itself raises it for a
-        line past its 64 KiB limit."""
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3:
-            raise ValueError("the request line is not METHOD TARGET VERSION")
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = headers.get("content-length") or "0"
-        if not (length.isascii() and length.isdigit()):
-            raise ValueError(
-                f"Content-Length must be a non-negative integer, got "
-                f"{length[:32]!r}"
-            )
-        if int(length) > _MAX_BODY:
-            raise ValueError("request body too large")
-        return parts[0], parts[1], headers, int(length)
-
-    @staticmethod
-    async def _respond(writer, status, response, *, keep_alive) -> None:
-        if isinstance(response, dict) and "__raw__" in response:
-            # A content-negotiated raw-text response (the Prometheus
-            # exposition) — serve it verbatim.
-            data = response["__raw__"].encode("utf-8")
-            content_type = response.get(
-                "__content_type__", "text/plain; charset=utf-8"
-            )
-        else:
-            data = json.dumps(response).encode("utf-8")
-            content_type = "application/json"
-        # Backpressure hint: shed/breaker responses carry a retry_after
-        # estimate; surface it as a real Retry-After header (fractional
-        # seconds) so plain HTTP clients can pace themselves without
-        # parsing the body.
-        retry_after = (
-            response.get("retry_after")
-            if status in (429, 503) and isinstance(response, dict)
-            else None
-        )
-        retry_header = (
-            f"Retry-After: {max(0.0, float(retry_after)):.3f}\r\n"
-            if isinstance(retry_after, (int, float))
-            else ""
-        )
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"{retry_header}"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}"
-            f"\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + data)
-        await writer.drain()
-
+    # -- entry points ---------------------------------------------------
     async def start(
         self, host: str = "127.0.0.1", port: int = 0, *, sock=None
     ) -> None:
@@ -1405,17 +1071,17 @@ class MechanismServer:
         ``sock`` serves on an existing bound-and-listening socket
         instead — the supervisor path, where every worker in the fleet
         inherits the same ``SO_REUSEPORT`` listener so the kernel
-        load-balances accepts across them.
+        load-balances accepts across them. Connections are served by
+        :func:`repro.serving.edge.serve_connection`.
         """
         if self._http_server is not None:
             raise ReproError("server is already started")
+        handler = functools.partial(serve_connection, self)
         if sock is not None:
-            self._http_server = await asyncio.start_server(
-                self._handle_connection, sock=sock
-            )
+            self._http_server = await asyncio.start_server(handler, sock=sock)
         else:
             self._http_server = await asyncio.start_server(
-                self._handle_connection, host, port
+                handler, host, port
             )
 
     @property
@@ -1427,23 +1093,22 @@ class MechanismServer:
 
     async def stop(self, *, drain_deadline: float | None = None) -> None:
         """Graceful drain: stop accepting, finish in-flight work, flush
-        the batcher, fsync and close the ledger.
+        the batcher, fsync and close the ledger. Idempotent.
 
-        In-flight keep-alive handlers are awaited up to
-        ``drain_deadline`` seconds (the server default when ``None``);
-        stragglers — typically idle keep-alive connections parked on a
-        read — are then cancelled. A book left volatile by a WAL outage
-        gets one recovery probe before it closes, so the outage's acked
-        charges reach the journal; if the WAL is still down, a warning
-        on stderr counts the users whose outage charges stay
-        unjournaled. Idempotent: a second call is a no-op.
+        In-flight handlers get ``drain_deadline`` seconds (the configured
+        one when ``None``); stragglers, typically idle keep-alive
+        connections, are then cancelled. A book left volatile by a WAL
+        outage gets one recovery probe first; if the WAL is still down,
+        stderr warns how many users' outage charges stay unjournaled.
         """
         if self._stopped:
             return
         self._stopped = True
         self._draining = True
         deadline = (
-            self.drain_deadline if drain_deadline is None else drain_deadline
+            self.config.drain_deadline
+            if drain_deadline is None
+            else drain_deadline
         )
         if self._http_server is not None:
             self._http_server.close()
@@ -1476,12 +1141,7 @@ class MechanismServer:
                 )
         self.ledgers.close()  # fsyncs whatever the last batch journaled
         if self._obs is not None:
-            # Flush the span log; close it only if this server built the
-            # telemetry (a shared Telemetry may outlive one server).
-            if self._owns_telemetry:
-                self._obs.close()
-            else:
-                self._obs.tracer.flush()
+            self._obs.close()  # drains the span log
 
     def request_shutdown(self) -> None:
         """Ask :meth:`serve_forever` to drain and exit (signal-safe when

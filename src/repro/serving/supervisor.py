@@ -67,9 +67,9 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..exceptions import ReproError, ValidationError
+from .config import ServerConfig
 
 __all__ = ["ServingSupervisor", "make_listen_socket"]
 
@@ -124,16 +124,16 @@ class ServingSupervisor:
     Parameters
     ----------
     worker_config:
-        The JSON-serializable server configuration every worker builds
-        its :class:`~repro.serving.server.MechanismServer` from. Keys
-        mirror the server constructor: ``store`` (path, required),
-        ``floor`` (string fraction), ``ledger_dir``, ``ledger_fsync``,
-        ``batch_window``, ``batch_max``, ``audit_rate``, ``audit_every``,
-        ``queue_depth``, ``shed_deadline``, ``degraded``,
-        ``wal_failure_policy``, ``breaker_cooldown``, ``drain_deadline``,
-        ``trace_rate``, ``telemetry`` (``False`` to disable), ``seed``,
-        plus an optional ``faults`` dict (``{"fsync_storm": {"after": k,
-        "times": m}}`` and/or ``{"listener_drop_after_s": x}``).
+        The JSON-serializable configuration every worker builds its
+        :class:`~repro.serving.server.MechanismServer` from: ``store``
+        (path, required), an optional ``faults`` dict
+        (``{"fsync_storm": {"after": k, "times": m}}`` and/or
+        ``{"listener_drop_after_s": x}``), and any
+        :class:`~repro.serving.config.ServerConfig` fields (``floor`` as
+        a string fraction). It is validated here, in the supervisor's
+        process: an unknown key raises
+        :class:`~repro.exceptions.ValidationError` naming it. Every
+        worker then receives every setting.
     workers:
         Fleet size (slots). Each slot holds at most one live process.
     host / port:
@@ -155,8 +155,8 @@ class ServingSupervisor:
         :attr:`stats` — heartbeats stay authoritative for liveness.
     slot_overrides:
         Optional per-slot config overlays (``{slot_index: {...}}``),
-        merged over ``worker_config`` — how the chaos suite aims an
-        fsync storm at exactly one worker.
+        merged over ``worker_config`` and validated the same way — how
+        the chaos suite aims an fsync storm at exactly one worker.
     """
 
     def __init__(
@@ -178,10 +178,12 @@ class ServingSupervisor:
     ) -> None:
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
-        if "store" not in worker_config:
-            raise ValidationError("worker_config needs a 'store' path")
-        self.worker_config = dict(worker_config)
         self.workers = int(workers)
+        self.slot_overrides = dict(slot_overrides or {})
+        self._shipped = [
+            _worker_spec({**worker_config, **self.slot_overrides.get(i, {})})
+            for i in range(self.workers)
+        ]
         self.host = host
         self._requested_port = int(port)
         self.heartbeat_interval = float(heartbeat_interval)
@@ -192,7 +194,6 @@ class ServingSupervisor:
         self.stability_reset = float(stability_reset)
         self.drain_deadline = float(drain_deadline)
         self.probe_interval = float(probe_interval)
-        self.slot_overrides = dict(slot_overrides or {})
         self._slots = [_WorkerSlot(i) for i in range(self.workers)]
         self._socket: socket.socket | None = None
         self._draining = False
@@ -234,13 +235,12 @@ class ServingSupervisor:
 
     def _spawn(self, slot: _WorkerSlot) -> None:
         read_fd, write_fd = os.pipe()
-        config = dict(self.worker_config)
-        config.update(self.slot_overrides.get(slot.index, {}))
+        config = dict(self._shipped[slot.index])
         config["worker_id"] = f"w{slot.index}"
         config["socket_fd"] = self._socket.fileno()
         config["heartbeat_fd"] = write_fd
         config["heartbeat_interval"] = self.heartbeat_interval
-        seed = config.get("seed")
+        seed = config["seed"]
         if seed is not None:
             # Distinct sampling streams per slot and per incarnation,
             # still deterministic for a fixed kill schedule.
@@ -612,24 +612,31 @@ class ServingSupervisor:
 # -- the worker process ------------------------------------------------
 
 
-def _build_worker_server(config: dict):
-    """Construct this worker's server from the supervisor's JSON config.
+def _worker_spec(worker_config: dict) -> dict:
+    """Validate one worker's configuration and return it whole: ``store``,
+    ``faults`` and every :class:`ServerConfig` field, JSON-ready."""
+    settings = dict(worker_config)
+    store = settings.pop("store", None)
+    if store is None:
+        raise ValidationError("worker_config needs a 'store' path")
+    faults = settings.pop("faults", None) or {}
+    return {"store": str(store), "faults": faults,
+            **ServerConfig.of(settings).to_dict()}
 
-    Imported lazily so the supervisor module stays importable without
-    numpy (the worker obviously needs the full stack).
-    """
+
+def _build_worker_server(config: dict):
+    """Construct this worker's server from the supervisor's JSON config:
+    ``store``, ``faults`` and :class:`ServerConfig` fields."""
     from ..release.durable_ledger import DurableLedger
     from .faults import FaultInjector, FaultyFS, fsync_storm
     from .server import MechanismServer
 
-    faults_cfg = config.get("faults") or {}
-    faults = None
+    settings = dict(config)
+    store = settings.pop("store")
+    storm = (settings.pop("faults", None) or {}).get("fsync_storm")
+    server_config = ServerConfig.of(settings)
     ledger = None
-    floor = Fraction(config["floor"]) if config.get("floor") else 0
-    ledger_dir = config.get("ledger_dir")
-    ledger_fsync = config.get("ledger_fsync", "group")
-    storm = faults_cfg.get("fsync_storm")
-    if storm and ledger_dir:
+    if storm and server_config.ledger_dir:
         # The wal.fsync-storm fleet fault: this worker's WAL rides a
         # FaultyFS armed to fail a burst of fsyncs. The breaker must
         # open; once the storm exhausts, the book's recovery probe
@@ -641,33 +648,20 @@ def _build_worker_server(config: dict):
             times=int(storm.get("times", 3)),
         )
         ledger = DurableLedger(
-            ledger_dir, floor, fsync=ledger_fsync, fs=FaultyFS(faults)
+            server_config.ledger_dir, server_config.floor,
+            fsync=server_config.ledger_fsync, fs=FaultyFS(faults),
         )
-    kwargs = dict(
-        store=config["store"],
-        floor=floor,
-        drain_deadline=config.get("drain_deadline", 5.0),
-        batch_window=config.get("batch_window", 0.002),
-        batch_max=config.get("batch_max", 4096),
-        audit_rate=config.get("audit_rate", 0.05),
-        audit_every=config.get("audit_every", 64),
-        seed=config.get("seed"),
-        queue_depth=config.get("queue_depth", 0),
-        shed_deadline=config.get("shed_deadline", 0.0),
-        degraded=config.get("degraded", "503"),
-        wal_failure_policy=config.get("wal_failure_policy", "reject"),
-        breaker_cooldown=config.get("breaker_cooldown", 1.0),
-        worker_id=config.get("worker_id"),
-        trace_rate=config.get("trace_rate", 0.0),
-    )
-    if config.get("telemetry") is False:
-        kwargs["telemetry"] = False
-    if ledger is not None:
-        kwargs["ledger"] = ledger
-    elif ledger_dir:
-        kwargs["ledger_dir"] = ledger_dir
-        kwargs["ledger_fsync"] = ledger_fsync
-    return MechanismServer(**kwargs)
+    return MechanismServer(store, config=server_config, ledger=ledger)
+
+
+def _beat(server, ready) -> bytes:
+    """One heartbeat line: pid, readiness and the publish count."""
+    beat = {
+        "pid": os.getpid(),
+        "ready": bool(ready),
+        "published": server.metrics["published"],
+    }
+    return (json.dumps(beat) + "\n").encode("utf-8")
 
 
 async def _heartbeat_loop(server, fd: int, interval: float) -> None:
@@ -683,19 +677,8 @@ async def _heartbeat_loop(server, fd: int, interval: float) -> None:
     while True:
         http = server._http_server
         listening = http is not None and http.is_serving()
-        ready = listening and server.readiness()[0]
-        line = (
-            json.dumps(
-                {
-                    "pid": os.getpid(),
-                    "ready": bool(ready),
-                    "published": server.metrics["published"],
-                }
-            )
-            + "\n"
-        ).encode("utf-8")
         try:
-            os.write(fd, line)
+            os.write(fd, _beat(server, listening and server.readiness()[0]))
         except BlockingIOError:
             pass
         except OSError:
@@ -704,20 +687,19 @@ async def _heartbeat_loop(server, fd: int, interval: float) -> None:
 
 
 async def _worker_serve(config: dict) -> None:
+    config = dict(config)
+    sock_fd = config.pop("socket_fd")
+    hb_fd = config.pop("heartbeat_fd", None)
+    hb_interval = config.pop("heartbeat_interval", 0.25)
     server = _build_worker_server(config)
     server.load_store()
-    sock = socket.socket(fileno=config["socket_fd"])
+    sock = socket.socket(fileno=sock_fd)
     sock.setblocking(False)
     await server.start(sock=sock)
     tasks = []
-    hb_fd = config.get("heartbeat_fd")
     if hb_fd is not None:
         tasks.append(
-            asyncio.create_task(
-                _heartbeat_loop(
-                    server, hb_fd, config.get("heartbeat_interval", 0.25)
-                )
-            )
+            asyncio.create_task(_heartbeat_loop(server, hb_fd, hb_interval))
         )
     drop_after = (config.get("faults") or {}).get("listener_drop_after_s")
     dropped = asyncio.Event()
@@ -752,19 +734,7 @@ async def _worker_serve(config: dict) -> None:
             # supervisor's last pipe drain sees this worker's true
             # published total (the periodic loop was just cancelled).
             with contextlib.suppress(OSError):
-                os.write(
-                    hb_fd,
-                    (
-                        json.dumps(
-                            {
-                                "pid": os.getpid(),
-                                "ready": False,
-                                "published": server.metrics["published"],
-                            }
-                        )
-                        + "\n"
-                    ).encode("utf-8"),
-                )
+                os.write(hb_fd, _beat(server, False))
 
 
 def _worker_main(config: dict) -> int:

@@ -360,6 +360,14 @@ class TestMalformedHTTP:
         "request-line-over-64k": b"GET /" + LONG + b" HTTP/1.1\r\n\r\n",
         "header-line-over-64k":
             b"GET /healthz HTTP/1.1\r\nX-Pad: " + LONG + b"\r\n\r\n",
+        # Bodies are framed by Content-Length only: a chunked body would
+        # otherwise be read as the next request line.
+        "transfer-encoding-chunked":
+            b"POST /publish HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+        "over-100-header-lines":
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n",
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -387,3 +395,64 @@ class TestMalformedHTTP:
         assert b"error" in body
         assert errors == []
         assert bad == 1
+
+    def test_one_hundred_header_lines_still_serve(self, store):
+        async def main():
+            server = make_server(store)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+                + b"\r\n"
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            await server.stop()
+            return raw
+
+        assert run(main()).startswith(b"HTTP/1.1 200 ")
+
+    def test_an_escaping_exception_is_a_counted_500(self, store):
+        """An exception past the charge answers 500 and closes; it counts
+        under ``errors``, not ``published``, and never reaches the loop's
+        exception handler."""
+
+        def boom(request):
+            raise RuntimeError("boom after the charge")
+
+        async def main():
+            errors = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            server = make_server(store)
+            server._respond = boom
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            body = b'{"user": "hot", "n": 8, "alpha": "1/2", "true_result": 3}'
+            writer.write(
+                b"POST /publish HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            charged = server.ledgers.view("hot")
+            await server.stop()
+            return raw, errors, server, charged
+
+        raw, errors, server, charged = run(main())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 ")
+        assert b"Connection: close" in head
+        assert b"boom after the charge" in body
+        assert charged is not None and charged.releases == 1
+        assert server.metrics["errors"] == 1
+        assert server.metrics["published"] == 0
+        assert server._status_counts == {500: 1}
+        assert errors == []

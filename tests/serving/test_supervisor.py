@@ -79,6 +79,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="workers"):
             ServingSupervisor({"store": "x"}, workers=0)
 
+    def test_an_unknown_setting_raises_in_the_parent(self):
+        with pytest.raises(ValidationError, match="trace_dri"):
+            ServingSupervisor({"store": "x", "trace_dri": "d"})
+        with pytest.raises(ValidationError, match="batch_windw"):
+            ServingSupervisor(
+                {"store": "x"}, slot_overrides={1: {"batch_windw": 0}}
+            )
+
     def test_port_requires_start(self, tmp_path):
         fleet = make_fleet(tmp_path)
         with pytest.raises(ReproError, match="not started"):

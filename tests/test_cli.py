@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -389,6 +391,62 @@ class TestServeCommand:
         assert main(argv) == 1
         assert "absolute privacy" in capsys.readouterr().err
         assert not (tmp_path / "ledger").exists()
+
+    def test_every_serve_flag_default_is_its_config_field(self):
+        from repro.serving.config import ServerConfig
+
+        args = vars(build_parser().parse_args(["serve"]))
+        flags = set(args) - {"command"}
+        fields = {f.name: f for f in dataclasses.fields(ServerConfig)}
+        assert flags - set(fields) == {"host", "port", "store", "workers"}
+        for name in flags & set(fields):
+            assert args[name] == fields[name].default, name
+
+    def test_fleet_workers_get_every_setting(self, monkeypatch, tmp_path):
+        import asyncio
+        import json
+
+        from repro.serving import supervisor
+        from repro.serving.config import ServerConfig
+
+        shipped = []
+
+        class Recorder:
+            port = 0
+
+            def __init__(self, worker_config, **kwargs):
+                shipped.append(worker_config)
+
+            def start(self):
+                pass
+
+            def run(self, **kwargs):
+                pass
+
+            def status(self):
+                return {"slots": [], "stats": {
+                    "spawns": 0, "restarts": 0, "heartbeat_kills": 0,
+                }}
+
+        monkeypatch.setattr(supervisor, "ServingSupervisor", Recorder)
+        trace_dir = tmp_path / "traces"
+        assert main([
+            "serve", "--store", str(tmp_path / "store"), "--workers", "2",
+            "--trace-dir", str(trace_dir), "--trace-ring", "7",
+            "--trace-rate", "1.0",
+        ]) == 0
+        (config,) = shipped
+        assert set(config) == {"store"} | {
+            field.name for field in dataclasses.fields(ServerConfig)
+        }
+        server = supervisor._build_worker_server(
+            json.loads(json.dumps(config))
+        )
+        tracer = server.telemetry.tracer
+        assert tracer.directory == str(trace_dir)
+        assert tracer._ring.maxlen == 7
+        assert tracer.rate == 1.0
+        asyncio.run(server.stop())
 
     def test_compile_side_grid(self, capsys, tmp_path):
         code = main(
