@@ -68,7 +68,6 @@ def make_fleet(tmp, tag, *, workers, floor=HALF ** 64, **config):
         "audit_rate": 0.0,
         "seed": 31,
         "queue_depth": 256,
-        "telemetry": False,
     }
     worker_config.update(config)
     fleet = ServingSupervisor(

@@ -11,8 +11,9 @@ Stdlib-only. Three layers, importable independently:
   exact remaining charges) from live books or WAL directories.
 
 :class:`~repro.obs.telemetry.Telemetry` bundles the first two with the
-pre-built serving instruments; the server threads one instance through
-the batcher, ledgers, and clients.
+serving families; every server builds one, and the layers under it
+reach it only through the active trace context and the server's
+scrape-time collector.
 """
 
 from .metrics import (

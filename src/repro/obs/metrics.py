@@ -18,14 +18,13 @@ snapshots to plain dicts for benchmarks and the JSON metrics route.
 
 Design constraints, in order:
 
-1. **Hot-path cost.** ``benchmarks/bench_observability.py`` enforces a
-   <= 5% throughput budget for the whole telemetry layer on the batched
-   serving path, so the per-observation work is a handful of attribute
-   operations: a counter increment is ``self.value += v``; a histogram
-   observation is one C ``bisect`` plus three attribute updates. Label
-   resolution (``labels(...)``) is the expensive step and is meant to be
-   done **once**, outside the loop — callers cache the returned child
-   (the server caches one latency-histogram child per deployment).
+1. **Hot-path cost.** Telemetry is always on, so the per-event work is
+   a plain tally or one list append in the layer that does the work
+   (:class:`LatencyLog`); the scrape-time collector moves those into
+   the families. A counter increment is ``self.value += v``; a
+   histogram observation is one C ``bisect`` plus three attribute
+   updates. Label resolution (``labels(...)``) is the expensive step
+   and is done per scrape, never per request.
 2. **Concurrent scrapes.** Increments come from the event loop and from
    worker threads; scrapes may run concurrently. Individual updates are
    safe under the GIL, and rendering materializes each family's children
@@ -50,8 +49,10 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "Counter",
+    "FOLD_CAP",
     "Gauge",
     "Histogram",
+    "LatencyLog",
     "MetricsRegistry",
     "default_latency_buckets",
     "default_registry",
@@ -184,6 +185,44 @@ class _HistogramChild:
         return math.inf  # pragma: no cover - seen always reaches total
 
 
+#: A :class:`LatencyLog` folds its parked durations at this many (and at
+#: every scrape), so a log nobody scrapes stays bounded. A server keeps
+#: one log per deployment and per timed layer, so the cap is per log:
+#: four deployments and the WAL append park at most ~2.6 MB.
+FOLD_CAP = 16384
+
+
+class LatencyLog:
+    """Durations a hot path parks raw, bucketed only when read.
+
+    The layer that does the timed work owns the log: one C-level list
+    append per event (``log.pending.append(seconds)``, or :meth:`add`),
+    and :meth:`fold` buckets the batch into :attr:`child` — a histogram
+    series the scrape-time collector exposes with
+    :meth:`Histogram.attach`.
+    """
+
+    __slots__ = ("pending", "child")
+
+    def __init__(self) -> None:
+        self.pending: list = []
+        self.child = _HistogramChild(default_latency_buckets())
+
+    def add(self, seconds: float) -> None:
+        pending = self.pending
+        pending.append(seconds)
+        if len(pending) >= FOLD_CAP:
+            self.fold()
+
+    def fold(self) -> _HistogramChild:
+        """Bucket the parked durations; returns the series."""
+        pending = self.pending
+        if pending:
+            self.pending = []
+            self.child.observe_many(pending)
+        return self.child
+
+
 class _Family:
     """A named metric family holding one child per label-value tuple."""
 
@@ -311,6 +350,11 @@ class Histogram(_Family):
 
     def observe_many(self, values) -> None:
         self._bare().observe_many(values)
+
+    def attach(self, child: _HistogramChild, *values: str) -> None:
+        """Expose a series its owner keeps, such as a
+        :class:`LatencyLog`'s, under these label values."""
+        self._children[values] = child
 
     def quantile(self, q: float):
         return self._bare().quantile(q)

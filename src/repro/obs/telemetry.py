@@ -1,66 +1,47 @@
-"""The telemetry bundle a serving process threads through its layers.
+"""The telemetry bundle of one serving process.
 
-One :class:`Telemetry` holds the metrics registry and the tracer for a
-process, plus the instrument handles the hot paths cache once at
-construction (so a request increments pre-resolved children instead of
-re-resolving label values). The server builds one and hands it to the
-batcher, the durable ledger, and the clients; the solver layer writes
-to :func:`repro.obs.metrics.default_registry` instead, which
-:meth:`Telemetry.default` adopts so one ``GET /metrics`` scrape covers
-the whole stack.
-
-``MechanismServer(..., telemetry=False)`` is the telemetry-off
-configuration the overhead benchmark compares against: the server holds
-``None`` and skips instrumentation entirely, so "off" really is zero
-added work.
+One :class:`Telemetry` holds a server's metrics registry and tracer, plus
+the instrument families its scrape-time collector fills. Every
+:class:`~repro.serving.server.MechanismServer` builds one; there is no
+telemetry-off mode. The layers under the server (batcher, budget book,
+admission, auditor) hold no handle on it: they keep their counts and
+timings in their own ``stats`` and latency logs, open spans through the
+active trace context (:func:`repro.obs.tracing.span`), and the server's
+collector exposes what they kept, once per scrape. The solver layer
+writes to :func:`repro.obs.metrics.default_registry`, which the server
+appends to its scrape so one ``GET /metrics`` covers the whole stack.
 """
 
 from __future__ import annotations
 
-from .metrics import MetricsRegistry, default_registry
+from .metrics import MetricsRegistry
 from .tracing import Tracer
 
 __all__ = ["Telemetry"]
 
 
 class Telemetry:
-    """Metrics registry + tracer, with the serving instruments prebuilt.
+    """A private metrics registry + tracer, with the serving families.
 
-    Parameters
-    ----------
-    registry:
-        The :class:`MetricsRegistry` to instrument. Defaults to the
-        process-wide registry so solver-layer counters appear in the
-        same scrape.
-    trace_rate / trace_dir / trace_ring / trace_seed:
-        Forwarded to :class:`Tracer` (a pre-built ``tracer`` wins).
+    ``trace_rate`` / ``trace_dir`` / ``trace_ring`` / ``trace_seed`` are
+    forwarded to :class:`Tracer`.
     """
 
     def __init__(
         self,
-        registry: MetricsRegistry | None = None,
         *,
-        tracer: Tracer | None = None,
         trace_rate: float = 0.0,
         trace_dir=None,
         trace_ring: int = 1024,
         trace_seed: int | None = None,
     ) -> None:
-        self.registry = default_registry() if registry is None else registry
-        self.tracer = (
-            Tracer(
-                trace_rate,
-                trace_dir,
-                ring=trace_ring,
-                seed=trace_seed,
-            )
-            if tracer is None
-            else tracer
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(
+            trace_rate, trace_dir, ring=trace_ring, seed=trace_seed
         )
         reg = self.registry
-        # Serving-layer instruments. Created here (idempotently) so every
-        # family appears in the exposition from the first scrape, and so
-        # hot paths can cache children without None checks.
+        # Created here so every family appears in the exposition from
+        # the first scrape.
         self.requests = reg.counter(
             "repro_requests_total",
             "Requests handled, by route and response status.",
@@ -115,15 +96,6 @@ class Telemetry:
             "repro_audit_findings_total",
             "Online audit sweep findings, by flagged verdict.",
             labels=("flagged",),
-        )
-        self.client_retries = reg.counter(
-            "repro_client_retries_total",
-            "HTTP client retry attempts, by error kind.",
-            labels=("error",),
-        )
-        self.client_latency = reg.histogram(
-            "repro_client_request_seconds",
-            "HTTP client logical round-trip time (incl. retries).",
         )
         self.users_near_floor = reg.gauge(
             "repro_budget_users_near_floor",
@@ -187,11 +159,6 @@ class Telemetry:
             "repro_serving_worker_ready",
             "1 while this worker passes its own readiness checks.",
         )
-
-    @classmethod
-    def default(cls, **kwargs) -> "Telemetry":
-        """Telemetry over the process-wide default registry."""
-        return cls(default_registry(), **kwargs)
 
     def close(self) -> None:
         self.tracer.close()

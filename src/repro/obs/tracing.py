@@ -9,25 +9,26 @@ the request's trace ID, so one grep over the JSONL log (or one ``GET
 batcher, the durable ledger, and the fused sampler.
 
 Propagation uses :mod:`contextvars`, which asyncio copies into every
-task and callback:
+task and callback, and each :class:`TraceContext` carries its tracer:
 
 * :meth:`Tracer.sample` decides (per ``rate``) whether a request is
   traced and returns a :class:`TraceContext` or ``None``;
 * :meth:`Tracer.activate` binds the context to the current task, so any
   code the request awaits through — the ledger charge, the WAL append —
-  can call :meth:`Tracer.span` without threading arguments;
+  opens spans with the module-level :func:`span`, holding no tracer and
+  threading no arguments;
 * micro-batching breaks task-linearity: one ``batch.flush`` serves many
   requests. The batcher binds the *list* of traced contexts in its
-  batch (:meth:`Tracer.activate_batch`) around the execute step, and a
-  span opened there is **broadcast** — one record per traced request in
-  the batch, each under its own trace ID with its own parent span. The
+  batch (:func:`activate_batch`) around the execute step, and a span
+  opened there is **broadcast** — one record per traced request in the
+  batch, each under its own trace ID with its own parent span. The
   per-batch fsync and the fused gather therefore appear in every traced
   request they served.
 
 Sinks: an append-only JSONL file per tracer (``--trace-dir``), buffered
 and flushed every :data:`FLUSH_EVERY` records, plus a bounded in-memory
 ring (``GET /trace/recent``). When no request is being traced,
-:meth:`Tracer.span` returns a shared no-op singleton whose
+:func:`span` returns a shared no-op singleton whose
 ``__enter__``/``__exit__`` do nothing — the hot-path cost of tracing at
 ``rate=0`` is one ContextVar read.
 
@@ -55,7 +56,15 @@ from collections import deque
 
 from ..exceptions import ValidationError
 
-__all__ = ["Tracer", "TraceContext", "NOOP_SPAN", "current_trace"]
+__all__ = [
+    "NOOP_SPAN",
+    "TraceContext",
+    "Tracer",
+    "activate_batch",
+    "current_trace",
+    "deactivate_batch",
+    "span",
+]
 
 #: Buffered span records are flushed to the JSONL sink at this many
 #: pending records (and on ``close``). Keeps the write syscall off the
@@ -74,20 +83,22 @@ _BATCH: contextvars.ContextVar = contextvars.ContextVar(
     "repro_trace_batch", default=()
 )
 
-#: C-level accessor for the active request trace — the hot-path inline
-#: of :meth:`Tracer.current` (a bound ``ContextVar.get``, so callers
-#: skip a Python frame per request).
+#: C-level accessor for the active request trace (a bound
+#: ``ContextVar.get``): hot paths that only ask whether a request is
+#: traced skip a Python frame.
 current_trace = _CURRENT.get
 
 
 class TraceContext:
-    """Identity of one traced request: a trace ID and the active span."""
+    """Identity of one traced request: a trace ID, the active span, and
+    the tracer its spans are recorded by."""
 
-    __slots__ = ("trace_id", "span_id")
+    __slots__ = ("trace_id", "span_id", "tracer")
 
-    def __init__(self, trace_id: str) -> None:
+    def __init__(self, trace_id: str, tracer: "Tracer") -> None:
         self.trace_id = trace_id
         self.span_id: str | None = None
+        self.tracer = tracer
 
 
 class _NoopSpan:
@@ -113,8 +124,8 @@ class _Span:
 
     __slots__ = ("_tracer", "_contexts", "name", "attrs", "_t0", "_parents")
 
-    def __init__(self, tracer, contexts, name, attrs) -> None:
-        self._tracer = tracer
+    def __init__(self, contexts, name, attrs) -> None:
+        self._tracer = contexts[0].tracer
         self._contexts = contexts
         self.name = name
         self.attrs = attrs
@@ -151,6 +162,40 @@ class _Span:
             )
             ctx.span_id = parent
         return False
+
+
+def span(name: str, **attrs):
+    """A context manager timing one step of the active trace(s).
+
+    Prefers the request-scoped trace; falls back to the batch-scoped
+    trace list (broadcasting one record per traced request); returns
+    the shared no-op singleton when neither is bound.
+    """
+    ctx = _CURRENT.get()
+    if ctx is not None:
+        return _Span((ctx,), name, attrs)
+    batch = _BATCH.get()
+    if batch:
+        return _Span(batch, name, attrs)
+    return NOOP_SPAN
+
+
+def activate_batch(contexts):
+    """Bind the traced contexts of a micro-batch; returns a token.
+
+    Also masks any request-scoped trace for the duration: a flush may
+    run inside the submitting request's task (size trigger) or in a
+    timer callback that copied one request's context — spans opened
+    under the batch scope must broadcast to the whole batch, not attach
+    to whichever request happened to schedule the flush.
+    """
+    return (_BATCH.set(tuple(contexts)), _CURRENT.set(None))
+
+
+def deactivate_batch(token) -> None:
+    batch_token, current_token = token
+    _CURRENT.reset(current_token)
+    _BATCH.reset(batch_token)
 
 
 class Tracer:
@@ -218,7 +263,7 @@ class Tracer:
         draws ``coin()`` directly so the untraced majority of requests
         never enters a Python frame here.
         """
-        return TraceContext(self._new_id("t"))
+        return TraceContext(self._new_id("t"), self)
 
     def activate(self, ctx: TraceContext):
         """Bind ``ctx`` as the current task's trace; returns a token."""
@@ -227,41 +272,11 @@ class Tracer:
     def deactivate(self, token) -> None:
         _CURRENT.reset(token)
 
-    def activate_batch(self, contexts):
-        """Bind the traced contexts of a micro-batch; returns a token.
-
-        Also masks any request-scoped trace for the duration: a flush
-        may run inside the submitting request's task (size trigger) or
-        in a timer callback that copied one request's context — spans
-        opened under the batch scope must broadcast to the whole batch,
-        not attach to whichever request happened to schedule the flush.
-        """
-        return (_BATCH.set(tuple(contexts)), _CURRENT.set(None))
-
-    def deactivate_batch(self, token) -> None:
-        batch_token, current_token = token
-        _CURRENT.reset(current_token)
-        _BATCH.reset(batch_token)
-
-    @staticmethod
-    def current() -> TraceContext | None:
-        return _CURRENT.get()
+    activate_batch = staticmethod(activate_batch)
+    deactivate_batch = staticmethod(deactivate_batch)
 
     # -- spans ---------------------------------------------------------
-    def span(self, name: str, **attrs):
-        """A context manager timing one step of the active trace(s).
-
-        Prefers the request-scoped trace; falls back to the batch-scoped
-        trace list (broadcasting one record per traced request); returns
-        the shared no-op singleton when neither is bound.
-        """
-        ctx = _CURRENT.get()
-        if ctx is not None:
-            return _Span(self, (ctx,), name, attrs)
-        batch = _BATCH.get()
-        if batch:
-            return _Span(self, batch, name, attrs)
-        return NOOP_SPAN
+    span = staticmethod(span)
 
     def event(self, name: str, **attrs) -> dict:
         """An instantaneous, always-recorded event (bypasses sampling).

@@ -102,7 +102,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from ..core.privacy import alpha_to_epsilon
 from ..exceptions import ReproError
 from ..obs.budget import FAR, NEAR_FLOOR, burn_position
-from ..obs.tracing import current_trace
+from ..obs.metrics import FOLD_CAP, LatencyLog
+from ..obs.tracing import current_trace, span
 from ..validation import check_alpha
 from .ledger import allowance, check_floor
 
@@ -129,11 +130,6 @@ _SNAPSHOT_NAME = "snapshot.json"
 _META_NAME = "meta.json"
 _LOCK_NAME = "ledger.lock"
 _FORMAT_VERSION = 1
-
-#: Deferred WAL-append latency samples fold into the histogram at this
-#: many pending entries (and at every scrape) — keeps the hot append
-#: path to one list append while bounding memory between scrapes.
-_LAT_FOLD_CAP = 65536
 
 #: How many top burners the scrape aggregates rank.
 _TOP = 10
@@ -454,6 +450,9 @@ class MemoryLedgerBook:
         # the top burners as sorted (-spent_fraction, user) keys.
         self._near: list[int] | None = None
         self._top: list[tuple] | None = None
+        # Journal timings, read by a server's scrape (empty here).
+        self.append_latency = LatencyLog()
+        self.fsync_latency = LatencyLog()
 
     # -- the journal hooks (no journal here) ----------------------------
     def _exclusive(self):
@@ -662,7 +661,6 @@ class DurableLedger(MemoryLedgerBook):
         replay_cap: int = 65536,
         fs: LedgerFS | None = None,
         faults=None,
-        telemetry=None,
     ) -> None:
         if fsync not in FSYNC_MODES:
             raise ReproError(
@@ -693,14 +691,7 @@ class DurableLedger(MemoryLedgerBook):
         # idempotency keys touched meanwhile.
         self._outage: dict[str, Fraction] | None = None
         self._outage_keys: dict[str, None] = {}
-        self._wal_lat_pending: list = []
-        self.telemetry = telemetry
         super().__init__(self._resolve_floor(floor), replay_cap=replay_cap)
-        if telemetry is not None:
-            # Deferred WAL-append latency: each charge parks one raw
-            # duration (a C-level list append); this collector folds
-            # them into the histogram at scrape time.
-            telemetry.registry.register_collector(self._fold_wal_latency)
         with self._exclusive():
             pass  # recovery happens in the catch-up under the first lock
 
@@ -883,18 +874,6 @@ class DurableLedger(MemoryLedgerBook):
         # Unknown ops are ignored for forward compatibility.
         self._seq = record["seq"]
 
-    def _fold_wal_latency(self) -> None:
-        """Fold deferred append durations into the latency histogram.
-
-        Registered as a scrape-time collector; also triggered by the
-        append path at :data:`_LAT_FOLD_CAP` pending samples so the
-        parked list stays bounded between scrapes.
-        """
-        pending = self._wal_lat_pending
-        if pending:
-            self._wal_lat_pending = []
-            self.telemetry.wal_append_latency.observe_many(pending)
-
     # -- the append protocol -------------------------------------------
     def _append(self, record: dict) -> None:
         """Append one record; on I/O failure roll back to the last
@@ -902,37 +881,33 @@ class DurableLedger(MemoryLedgerBook):
         line = _encode_record(record)
         handle = self._wal_handle()
         start = self._size
-        obs = self.telemetry
         # Untraced requests (the vast majority at low sampling rates)
         # must not pay for span machinery on every charge — one C-level
-        # ContextVar read decides; metrics stay unconditional.
-        traced = obs is not None and current_trace() is not None
+        # ContextVar read decides; the timings stay unconditional.
+        traced = current_trace() is not None
         try:
             t0 = time.perf_counter()
             if traced:
-                with obs.tracer.span("wal.append", seq=record["seq"]):
+                with span("wal.append", seq=record["seq"]):
                     self._fs.write(handle, line)
             else:
                 self._fs.write(handle, line)
-            if obs is not None:
-                pending = self._wal_lat_pending
-                pending.append(time.perf_counter() - t0)
-                if len(pending) >= _LAT_FOLD_CAP:
-                    self._fold_wal_latency()
+            # Deferred: one list append here, bucketed at scrape time.
+            pending = self.append_latency.pending
+            pending.append(time.perf_counter() - t0)
+            if len(pending) >= FOLD_CAP:
+                self.append_latency.fold()
             self._faults.crash("charge.before-fsync")
             if self._mode == "always":
                 t1 = time.perf_counter()
                 if traced:
-                    with obs.tracer.span("wal.fsync", mode="always"):
+                    with span("wal.fsync", mode="always"):
                         self._fs.fsync(handle)
                 else:
                     self._fs.fsync(handle)
                 self._last_fsync_s = time.perf_counter() - t1
                 self._fsyncs += 1
-                if obs is not None:
-                    obs.wal_fsync_latency.labels("always").observe(
-                        self._last_fsync_s
-                    )
+                self.fsync_latency.add(self._last_fsync_s)
             elif self._mode == "group":
                 self._dirty = True
         except OSError as err:
@@ -1013,21 +988,14 @@ class DurableLedger(MemoryLedgerBook):
             if self._failed:
                 raise LedgerUnavailableError(self._failed)
             if self._dirty and self._wal is not None:
-                obs = self.telemetry
                 t0 = time.perf_counter()
-                if obs is not None:
-                    # Inside a micro-batch execute this span is
-                    # batch-scoped: it lands in every traced request
-                    # whose charge this fsync commits.
-                    with obs.tracer.span("wal.fsync", mode="group"):
-                        self._fsync_wal("group-commit")
-                else:
+                # Inside a micro-batch execute this span is batch-scoped:
+                # it lands in every traced request whose charge this
+                # fsync commits.
+                with span("wal.fsync", mode="group"):
                     self._fsync_wal("group-commit")
                 self._last_fsync_s = time.perf_counter() - t0
-                if obs is not None:
-                    obs.wal_fsync_latency.labels("group").observe(
-                        self._last_fsync_s
-                    )
+                self.fsync_latency.add(self._last_fsync_s)
 
     # -- volatile mode -------------------------------------------------
     def go_volatile(self) -> None:
@@ -1154,8 +1122,6 @@ class DurableLedger(MemoryLedgerBook):
         self._appends_since_snapshot = 0
         self._snap_stat = self._stat_snapshot()
         self._compactions += 1
-        if self.telemetry is not None:
-            self.telemetry.ledger_compactions.inc()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

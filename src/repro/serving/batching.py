@@ -22,14 +22,13 @@ The executor callback is synchronous and must never block the loop for
 long — the intended executor is a pure alias-table gather plus counter
 updates (see :meth:`repro.serving.server.MechanismServer`).
 
-Telemetry: ``stats`` records a per-reason flush breakdown and a
-power-of-two occupancy histogram alongside the legacy counters; when a
-:class:`repro.obs.Telemetry` is attached, flushes also land in the
-metrics registry and — for requests being traced — a ``batch.flush``
-span is broadcast to every traced request fused into the batch (the
-batcher binds the batch's trace contexts around ``execute``, so spans
-opened inside it, like the group-commit fsync and the fused gather,
-join every one of those traces).
+Counts live in the batcher (:attr:`MicroBatcher.stats` is their JSON
+view) and flush timings in its :attr:`MicroBatcher.flush_latency` log;
+the server's scrape-time collector exposes both. For requests being
+traced, a ``batch.flush`` span is broadcast to every traced request
+fused into the batch: the batcher binds the batch's trace contexts
+around ``execute``, so spans opened inside it, like the group-commit
+fsync and the fused gather, join every one of those traces.
 """
 
 from __future__ import annotations
@@ -41,6 +40,8 @@ from collections.abc import Callable
 import numpy as np
 
 from ..exceptions import ValidationError
+from ..obs.metrics import LatencyLog
+from ..obs.tracing import activate_batch, deactivate_batch, span
 from ..release.durable_ledger import NO_FAULTS
 
 __all__ = ["MicroBatcher"]
@@ -49,6 +50,12 @@ __all__ = ["MicroBatcher"]
 #: covers direct ``flush()`` calls (drain paths); ``immediate`` is the
 #: unbatched ``window <= 0`` mode.
 FLUSH_REASONS = ("max_size", "deadline", "immediate", "manual", "close")
+
+#: Batch sizes are counted per power-of-two bound 1, 2, 4, ... 16384,
+#: plus one overflow slot: a batch of ``n`` lands in slot
+#: ``min((n - 1).bit_length(), 15)``, the same buckets as the
+#: ``repro_batch_size`` histogram.
+SIZE_SLOTS = 16
 
 
 class MicroBatcher:
@@ -66,16 +73,12 @@ class MicroBatcher:
         the unbatched mode).
     max_size:
         Flush immediately once this many queries are pending.
-    telemetry:
-        Optional :class:`repro.obs.Telemetry`; adds flush metrics and
-        batch-scoped trace spans. ``None`` keeps the batcher free of
-        any observability work.
 
-    Stats (``stats`` dict): ``queries``, ``batches``, ``size_flushes``,
-    ``deadline_flushes``, ``max_batch``, plus ``flush_reasons`` (counts
-    per :data:`FLUSH_REASONS`) and ``occupancy`` (power-of-two batch
-    size buckets: key ``"1"`` counts 1-row batches, ``"2"`` 2-row,
-    ``"4"`` 3-4, doubling up to ``"16384+"``).
+    Each count is kept once: ``queries``, ``max_batch``,
+    ``peak_pending``, ``flush_reasons`` (per :data:`FLUSH_REASONS`),
+    ``sizes`` (batches per power-of-two size slot, see
+    :data:`SIZE_SLOTS`) and ``rows`` (queries flushed). :attr:`stats`
+    derives the rest.
     """
 
     def __init__(
@@ -85,7 +88,6 @@ class MicroBatcher:
         window: float = 0.002,
         max_size: int = 4096,
         faults=None,
-        telemetry=None,
     ) -> None:
         if window < 0:
             raise ValidationError(f"window must be >= 0, got {window}")
@@ -95,29 +97,43 @@ class MicroBatcher:
         self.faults = NO_FAULTS if faults is None else faults
         self.window = float(window)
         self.max_size = int(max_size)
-        self.telemetry = telemetry
         self._pending: list[tuple[int, int, asyncio.Future]] = []
         self._traced: list = []
         self._timer: asyncio.TimerHandle | None = None
-        self.stats = {
-            "queries": 0,
-            "batches": 0,
-            "size_flushes": 0,
-            "deadline_flushes": 0,
-            "max_batch": 0,
-            # High-water mark of parked queries: the admission
-            # controller bounds in-flight publishes, and this is the
-            # observable proof the bound held (peak_pending <= queue
-            # depth + the executing batch).
-            "peak_pending": 0,
-            "flush_reasons": {reason: 0 for reason in FLUSH_REASONS},
-            "occupancy": {
-                str(1 << i): 0 for i in range(15)
-            },
+        self.queries = 0
+        self.max_batch = 0
+        # High-water mark of parked queries: the admission controller
+        # bounds in-flight publishes, and this is the observable proof
+        # the bound held (peak_pending <= queue depth + the executing
+        # batch).
+        self.peak_pending = 0
+        self.flush_reasons = dict.fromkeys(FLUSH_REASONS, 0)
+        self.sizes = [0] * SIZE_SLOTS
+        self.rows = 0
+        #: Wall time of each executed batch (gather + group fsync).
+        self.flush_latency = LatencyLog()
+
+    @property
+    def stats(self) -> dict:
+        """The counts as one JSON-ready dict: ``queries``, ``batches``,
+        ``size_flushes`` and ``deadline_flushes`` (the ``max_size`` and
+        ``deadline`` flush reasons), ``max_batch``, ``peak_pending``,
+        ``flush_reasons``, and ``occupancy`` (batches per power-of-two
+        size: key ``"1"`` counts 1-row batches, ``"2"`` 2-row, ``"4"``
+        3-4, doubling up to ``"16384+"`` for every batch above 8192)."""
+        reasons, sizes = self.flush_reasons, self.sizes
+        occupancy = {str(1 << i): sizes[i] for i in range(SIZE_SLOTS - 2)}
+        occupancy["16384+"] = sizes[-2] + sizes[-1]
+        return {
+            "queries": self.queries,
+            "batches": sum(sizes),
+            "size_flushes": reasons["max_size"],
+            "deadline_flushes": reasons["deadline"],
+            "max_batch": self.max_batch,
+            "peak_pending": self.peak_pending,
+            "flush_reasons": dict(reasons),
+            "occupancy": occupancy,
         }
-        self.stats["occupancy"]["16384+"] = self.stats["occupancy"].pop(
-            "16384"
-        )
 
     @property
     def pending(self) -> int:
@@ -136,11 +152,10 @@ class MicroBatcher:
         self._pending.append((int(table), int(row), future))
         if trace is not None:
             self._traced.append(trace)
-        self.stats["queries"] += 1
-        if len(self._pending) > self.stats["peak_pending"]:
-            self.stats["peak_pending"] = len(self._pending)
+        self.queries += 1
+        if len(self._pending) > self.peak_pending:
+            self.peak_pending = len(self._pending)
         if len(self._pending) >= self.max_size:
-            self.stats["size_flushes"] += 1
             self.flush(reason="max_size")
         elif self.window <= 0:
             self.flush(reason="immediate")
@@ -149,18 +164,7 @@ class MicroBatcher:
         return await future
 
     def _deadline_flush(self) -> None:
-        self.stats["deadline_flushes"] += 1
         self.flush(reason="deadline")
-
-    def _record_occupancy(self, size: int) -> None:
-        buckets = self.stats["occupancy"]
-        if size >= 16384:
-            buckets["16384+"] += 1
-            return
-        bound = 1
-        while bound < size:
-            bound <<= 1
-        buckets[str(bound)] += 1
 
     def flush(self, reason: str = "manual") -> None:
         """Execute everything pending as one fused tick (no-op if empty).
@@ -175,57 +179,39 @@ class MicroBatcher:
         traced, self._traced = self._traced, []
         if not pending:
             return
-        self.stats["batches"] += 1
-        self.stats["max_batch"] = max(self.stats["max_batch"], len(pending))
-        self.stats["flush_reasons"][reason] += 1
-        self._record_occupancy(len(pending))
+        size = len(pending)
+        self.flush_reasons[reason] += 1
+        self.sizes[min((size - 1).bit_length(), SIZE_SLOTS - 1)] += 1
+        self.rows += size
+        if size > self.max_batch:
+            self.max_batch = size
         tables = np.fromiter(
-            (item[0] for item in pending), dtype=np.int64, count=len(pending)
+            (item[0] for item in pending), dtype=np.int64, count=size
         )
         rows = np.fromiter(
-            (item[1] for item in pending), dtype=np.int64, count=len(pending)
+            (item[1] for item in pending), dtype=np.int64, count=size
         )
-        obs = self.telemetry
-        batch_token = None
-        if obs is not None and traced:
-            batch_token = obs.tracer.activate_batch(traced)
-        t0 = time.perf_counter() if obs is not None else 0.0
+        batch_token = activate_batch(traced) if traced else None
+        t0 = time.perf_counter()
         try:
-            span = (
-                obs.tracer.span(
-                    "batch.flush", size=len(pending), reason=reason
-                )
-                if batch_token is not None
-                else None
-            )
-            try:
-                if span is not None:
-                    span.__enter__()
+            with span("batch.flush", size=size, reason=reason):
                 self.faults.crash("batcher.before-execute")
                 values = self._execute(tables, rows)
                 self.faults.crash("batcher.after-execute")
-            except BaseException as err:  # noqa: BLE001 - must not strand futures
-                # InjectedCrash (and real crashes like KeyboardInterrupt)
-                # tear through `except Exception` everywhere else, but a
-                # flush may run from a timer callback where nothing
-                # awaits it — re-raising would strand every parked
-                # future forever. Failing the futures *is* the
-                # propagation path.
-                if span is not None:
-                    span.__exit__(type(err), err, None)
-                for _, _, future in pending:
-                    if not future.done():
-                        future.set_exception(err)
-                return
-            if span is not None:
-                span.__exit__(None, None, None)
+        except BaseException as err:  # noqa: BLE001 - must not strand futures
+            # InjectedCrash (and real crashes like KeyboardInterrupt)
+            # tear through `except Exception` everywhere else, but a
+            # flush may run from a timer callback where nothing awaits
+            # it — re-raising would strand every parked future forever.
+            # Failing the futures *is* the propagation path.
+            for _, _, future in pending:
+                if not future.done():
+                    future.set_exception(err)
+            return
         finally:
             if batch_token is not None:
-                obs.tracer.deactivate_batch(batch_token)
-        if obs is not None:
-            obs.batch_flushes.labels(reason).inc()
-            obs.batch_size.observe(float(len(pending)))
-            obs.batch_flush_latency.observe(time.perf_counter() - t0)
+                deactivate_batch(batch_token)
+        self.flush_latency.add(time.perf_counter() - t0)
         for (_, _, future), value in zip(pending, values):
             # A caller may have timed out / been cancelled mid-batch;
             # its slot was still sampled (the gather is all-or-nothing)

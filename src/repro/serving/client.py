@@ -29,7 +29,6 @@ import itertools
 import json
 import os
 import random
-import time
 
 from ..exceptions import ReproError
 
@@ -116,11 +115,6 @@ class HTTPServingClient:
         stampede in lockstep.
     seed:
         Seeds the jitter RNG for reproducible retry schedules in tests.
-    telemetry:
-        Optional :class:`repro.obs.Telemetry`: records a round-trip
-        latency histogram, a retry counter labeled by error kind, and —
-        when the calling task is being traced — ``client.request`` /
-        ``client.retry`` spans.
 
     ``publish`` attaches an idempotency key automatically (override with
     ``idem=``), so a retried publish whose first response was lost
@@ -137,7 +131,6 @@ class HTTPServingClient:
         backoff: float = 0.05,
         backoff_max: float = 2.0,
         seed: int | None = None,
-        telemetry=None,
     ) -> None:
         self.host = host
         self.port = int(port)
@@ -145,7 +138,6 @@ class HTTPServingClient:
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.backoff_max = float(backoff_max)
-        self.telemetry = telemetry
         self._rng = random.Random(seed)
         self._idem_prefix = f"{os.getpid():x}-{self._rng.randrange(1 << 48):012x}"
         self._idem_counter = itertools.count()
@@ -237,67 +229,24 @@ class HTTPServingClient:
         deterministic, never retried, returned as-is.
         """
         body = b"" if payload is None else json.dumps(payload).encode()
-        obs = self.telemetry
-        t0 = time.perf_counter() if obs is not None else 0.0
         last_error: BaseException | None = None
         for attempt in range(self.retries + 1):
             if attempt and last_error is not None:
-                delay = self._backoff_delay(attempt - 1)
-                if obs is not None:
-                    obs.client_retries.labels(
-                        type(last_error).__name__
-                    ).inc()
-                    with obs.tracer.span(
-                        "client.retry", attempt=attempt,
-                        backoff_s=round(delay, 4),
-                        error=type(last_error).__name__,
-                    ):
-                        await asyncio.sleep(delay)
-                else:
-                    await asyncio.sleep(delay)
+                await asyncio.sleep(self._backoff_delay(attempt - 1))
             try:
-                if obs is not None:
-                    span = obs.tracer.span(
-                        "client.request", method=method, path=path,
-                        attempt=attempt,
-                    )
-                else:
-                    span = contextlib.nullcontext()
-                with span:
-                    if self.timeout is None:
-                        status, response, retry_after = (
-                            await self._round_trip(method, path, body)
-                        )
-                    else:
-                        status, response, retry_after = (
-                            await asyncio.wait_for(
-                                self._round_trip(method, path, body),
-                                self.timeout,
-                            )
-                        )
+                # A timeout of None waits for as long as the round trip
+                # takes.
+                status, response, retry_after = await asyncio.wait_for(
+                    self._round_trip(method, path, body), self.timeout
+                )
                 if (
                     retry_after is not None
                     and status in (429, 503)
                     and attempt < self.retries
                 ):
                     last_error = None
-                    if obs is not None:
-                        obs.client_retries.labels("RetryAfter").inc()
-                        with obs.tracer.span(
-                            "client.retry", attempt=attempt + 1,
-                            backoff_s=round(retry_after, 4),
-                            error="RetryAfter",
-                        ):
-                            await asyncio.sleep(
-                                min(retry_after, self.backoff_max)
-                            )
-                    else:
-                        await asyncio.sleep(
-                            min(retry_after, self.backoff_max)
-                        )
+                    await asyncio.sleep(min(retry_after, self.backoff_max))
                     continue
-                if obs is not None:
-                    obs.client_latency.observe(time.perf_counter() - t0)
                 return status, response
             except RETRYABLE as err:
                 last_error = err

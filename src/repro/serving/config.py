@@ -65,9 +65,6 @@ class ServerConfig:
     seed / audit_seed / trace_seed:
         Seeds of the sampling RNG, the auditor's slice and the tracer's
         coin.
-    telemetry:
-        ``False`` runs without metrics or traces (the configuration
-        ``benchmarks/bench_observability.py`` measures overhead against).
     trace_rate / trace_dir / trace_ring:
         The fraction of publishes traced end to end, the directory whose
         ``trace.jsonl`` receives the spans (``None`` keeps the ring
@@ -97,7 +94,6 @@ class ServerConfig:
     audit_every: int = 64
     seed: int | None = None
     audit_seed: int | None = None
-    telemetry: bool = True
     trace_rate: float = 0.0
     trace_dir: str | None = None
     trace_ring: int = 1024
@@ -149,10 +145,6 @@ class ServerConfig:
             raise ValidationError(
                 f"degraded mode must be one of {DEGRADED_MODES}, got "
                 f"{self.degraded!r}"
-            )
-        if not isinstance(self.telemetry, bool):
-            raise ValidationError(
-                f"telemetry must be True or False, got {self.telemetry!r}"
             )
 
     @classmethod

@@ -13,8 +13,8 @@ The edge's own answers are the wire's refusals, each counted through
   (where the next request would start is unknown): a request line that
   is not ``METHOD TARGET VERSION``, a line past the stream reader's
   64 KiB limit, more than :data:`MAX_HEADERS` header lines, a bad or
-  oversized ``Content-Length``, or any ``Transfer-Encoding`` — bodies
-  are framed by ``Content-Length`` only;
+  oversized ``Content-Length`` or repeated ones that disagree, or any
+  ``Transfer-Encoding`` — bodies are framed by ``Content-Length`` only;
 * a 400 under ``bad_request`` for a body that is not a JSON object (the
   framing was sound, so the connection stays open);
 * a 500 under ``errors`` for an exception that escapes the server, then
@@ -127,7 +127,12 @@ async def _read_head(reader):
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        # Identical repeats are allowed (RFC 9112 section 6.3); differing
+        # ones leave the body's end unknown.
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ValueError("repeated Content-Length headers disagree")
+        headers[name] = value
     else:
         raise ValueError(f"more than {MAX_HEADERS} header lines")
     if "transfer-encoding" in headers:

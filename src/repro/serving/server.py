@@ -46,8 +46,17 @@ over a socket or in process, enters through
 the Prometheus text exposition), ``/ledger/<user>``, ``/trace/recent``
 and ``/obs/burn`` expose liveness, readiness, the deployments, counters
 and audit findings, per-user accounting, the span ring and the budget
-burn-down. ``SIGTERM``/``SIGINT`` drain gracefully: stop accepting,
-await open connections, flush the batcher, fsync and close the ledger.
+burn-down; each is one small view method. ``SIGTERM``/``SIGINT`` drain
+gracefully: stop accepting, await open connections, flush the batcher,
+fsync and close the ledger.
+
+Every server builds its :class:`~repro.obs.Telemetry`; there is no
+telemetry-off path. Each count is kept once, by the layer that does the
+work (the server's own tallies, the batcher's ``flush_reasons`` and
+batch sizes, admission's sheds, the book's compactions and journal
+timings, the auditor's samples), and :meth:`MechanismServer._collect`,
+the one scrape-time collector, exposes them; :attr:`MechanismServer.metrics`
+is the JSON view of the same stores.
 """
 
 from __future__ import annotations
@@ -65,12 +74,13 @@ import numpy as np
 
 from ..exceptions import ReproError, ValidationError
 from ..obs import (
-    MetricsRegistry,
     Telemetry,
     burn_rows_from_book,
     default_registry,
     floor_proximity,
 )
+from ..obs.metrics import FOLD_CAP, LatencyLog
+from ..obs.tracing import span
 from ..release.artifacts import (
     ArtifactSpec,
     resolve_artifact_store,
@@ -100,16 +110,18 @@ _MAX_IDEM = 128
 #: Sentinel distinguishing "cached as invalid" from "not cached".
 _UNCACHED = object()
 
-#: Deferred latency samples fold into the histograms at this many
-#: pending pairs (and at every scrape), bounding memory between scrapes.
-_LATENCY_FOLD_CAP = 65536
-
 #: The counters of ``GET /metrics``'s JSON ``"metrics"`` object, in order.
 _COUNTERS = (
     "requests", "published", "replayed", "rejected_budget", "not_found",
     "bad_request", "quarantined_requests", "shed", "degraded",
     "breaker_rejected", "brownout_skips", "ledger_unavailable", "errors",
     "audit_recorded", "audit_sweeps", "audit_flagged",
+)
+
+#: Those of :data:`_COUNTERS` that another store keeps; the server
+#: keeps the rest in ``_counts``.
+_DERIVED = (
+    "replayed", "rejected_budget", "shed", "brownout_skips", "audit_recorded"
 )
 
 
@@ -125,6 +137,31 @@ def _parse_query(query: str) -> dict:
     return params
 
 
+def _limit(params: dict, default: int) -> int | None:
+    """The ``limit`` parameter as a non-negative integer; ``None`` when
+    it is anything else."""
+    text = params.get("limit")
+    if text is None:
+        return default
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
+_BAD_LIMIT = "limit must be a non-negative integer"
+
+
+def _count(family, count, *labels: str) -> None:
+    """Expose one layer's count once it is nonzero."""
+    if count:
+        family.labels(*labels).value = float(count)
+
+
+def _timed(family, log: LatencyLog, *labels: str) -> None:
+    """Expose one layer's latency log once it holds an observation."""
+    series = log.fold()
+    if series.count:
+        family.attach(series, *labels)
+
+
 #: ``GET /metrics`` serves the Prometheus text exposition instead of
 #: JSON when the Accept header asks for one of these (or the query
 #: string carries ``format=prometheus``).
@@ -133,20 +170,16 @@ _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _Deployment:
-    __slots__ = (
-        "index", "spec", "artifact", "verification", "latency", "charges"
-    )
+    __slots__ = ("index", "spec", "artifact", "verification", "latency")
 
     def __init__(self, index, spec, artifact, verification) -> None:
         self.index = index
         self.spec = spec
         self.artifact = artifact
         self.verification = verification
-        # Telemetry: the pre-resolved latency-histogram child (None when
-        # telemetry is off) and the charge count behind the
-        # epsilon-spent gauge — the hot path never resolves a label.
-        self.latency = None
-        self.charges = 0
+        # Publish latencies; their count is the charges behind the
+        # epsilon-spent gauge.
+        self.latency = LatencyLog()
 
 
 class _Request:
@@ -210,32 +243,27 @@ class MechanismServer:
         self._quarantined: dict[str, dict] = {}
         self._samplers: list = []
         self._fused: HeterogeneousAliasSampler | None = None
-        obs = None
-        if config.telemetry:
-            obs = Telemetry(
-                MetricsRegistry(),
-                trace_rate=config.trace_rate,
-                trace_dir=config.trace_dir,
-                trace_ring=config.trace_ring,
-                trace_seed=config.trace_seed,
-            )
-        self.telemetry = self._obs = obs
+        self.telemetry = Telemetry(
+            trace_rate=config.trace_rate,
+            trace_dir=config.trace_dir,
+            trace_ring=config.trace_ring,
+            trace_seed=config.trace_seed,
+        )
         # Hot-path tallies are plain dicts that the scrape-time collector
         # mirrors into the Prometheus families.
-        self._trace_rate = 0.0 if obs is None else obs.tracer.rate
+        self._counts = {key: 0 for key in _COUNTERS if key not in _DERIVED}
         self._status_counts: dict[int, int] = {}
         self._outcome_counts = dict.fromkeys(
             ("charged", "rejected", "replayed", "pending"), 0
         )
-        self._latency_pending: list = []
+        self._brownout_skips = {"audit": 0, "trace": 0}
+        self._gather_latency = LatencyLog()
         if ledger is not None:
             self.ledgers = ledger
-            if obs is not None and getattr(ledger, "telemetry", None) is None:
-                self.ledgers.telemetry = obs
         elif config.ledger_dir is not None:
             self.ledgers = DurableLedger(
                 config.ledger_dir, config.floor, fsync=config.ledger_fsync,
-                faults=self.faults, telemetry=obs,
+                faults=self.faults,
             )
         else:
             self.ledgers = MemoryLedgerBook(config.floor)
@@ -254,11 +282,9 @@ class MechanismServer:
         self._batches_since_sweep = 0
         self.batcher = MicroBatcher(
             self._execute, window=config.batch_window,
-            max_size=config.batch_max, faults=self.faults, telemetry=obs,
+            max_size=config.batch_max, faults=self.faults,
         )
-        if obs is not None:
-            obs.registry.register_collector(self._collect_gauges)
-        self.metrics = dict.fromkeys(_COUNTERS, 0)
+        self.telemetry.registry.register_collector(self._collect)
         self._http_server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
         self._shutdown: asyncio.Event | None = None
@@ -309,10 +335,9 @@ class MechanismServer:
         self._samplers.append(artifact.sampler)
         self._fused = HeterogeneousAliasSampler(self._samplers)
         deployment = _Deployment(index, spec, artifact, verification)
-        if self._obs is not None:
-            deployment.latency = self._obs.publish_latency.labels(
-                spec.key()[:12]
-            )
+        self.telemetry.publish_latency.attach(
+            deployment.latency.child, spec.key()[:12]
+        )
         self._deployments[spec.key()] = deployment
         self.auditor.register(index, artifact)
         return index
@@ -356,16 +381,11 @@ class MechanismServer:
 
     # -- the fused execution tick --------------------------------------
     def _execute(self, tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        obs = self._obs
-        if obs is not None:
-            t0 = time.perf_counter()
-            # Batch-scoped: the gather lands in every traced request's
-            # trace.
-            with obs.tracer.span("sampler.gather", queries=len(tables)):
-                values = self._fused.sample(tables, rows, self._rng)
-            obs.gather_latency.observe(time.perf_counter() - t0)
-        else:
+        t0 = time.perf_counter()
+        # Batch-scoped: the gather lands in every traced request's trace.
+        with span("sampler.gather", queries=len(tables)):
             values = self._fused.sample(tables, rows, self._rng)
+        self._gather_latency.add(time.perf_counter() - t0)
         # Group commit: one fsync covers every charge journaled by this
         # batch's requests, and it lands *before* the batcher resolves
         # their futures — no response is released against a volatile
@@ -384,13 +404,9 @@ class MechanismServer:
         if admission is not None and admission.brownout:
             # Brownout: the audit slice skips a tick before any user
             # request is shed — counted, never silent.
-            self.metrics["brownout_skips"] += 1
-            if self._obs is not None:
-                self._obs.brownout_skips.labels("audit").inc()
+            self._brownout_skips["audit"] += 1
         else:
-            recorded = self.auditor.observe(tables, rows, values)
-            if recorded:
-                self.metrics["audit_recorded"] += recorded
+            self.auditor.observe(tables, rows, values)
         if self.config.audit_every > 0:
             self._batches_since_sweep += 1
             if self._batches_since_sweep >= self.config.audit_every:
@@ -401,87 +417,106 @@ class MechanismServer:
         """Run an audit sweep now; returns the findings."""
         self._batches_since_sweep = 0
         findings = self.auditor.sweep()
-        self.metrics["audit_sweeps"] += 1
-        self.metrics["audit_flagged"] = sum(1 for f in findings if f.flagged)
-        obs = self._obs
-        if obs is not None:
-            for finding in findings:
-                obs.audit_findings.labels(
-                    "true" if finding.flagged else "false"
-                ).inc()
-                # Findings bypass trace sampling — a divergence from the
-                # re-derived law is always worth a record.
-                obs.tracer.event(
-                    "audit.finding",
-                    key=finding.key[:12],
-                    kind=finding.kind,
-                    samples=finding.samples,
-                    statistic=finding.statistic,
-                    limit=finding.limit,
-                    flagged=finding.flagged,
-                )
+        self._counts["audit_sweeps"] += 1
+        self._counts["audit_flagged"] = sum(1 for f in findings if f.flagged)
+        obs = self.telemetry
+        for finding in findings:
+            obs.audit_findings.labels(
+                "true" if finding.flagged else "false"
+            ).inc()
+            # Findings bypass trace sampling — a divergence from the
+            # re-derived law is always worth a record.
+            obs.tracer.event(
+                "audit.finding",
+                key=finding.key[:12],
+                kind=finding.kind,
+                samples=finding.samples,
+                statistic=finding.statistic,
+                limit=finding.limit,
+                flagged=finding.flagged,
+            )
         return findings
 
-    def _fold_latency(self) -> None:
-        """Fold the request path's raw ``(deployment, elapsed)`` pairs
-        into the histogram children, one ``observe_many`` pass per
-        deployment: at every scrape and at :data:`_LATENCY_FOLD_CAP`."""
-        pending = self._latency_pending
-        if not pending:
-            return
-        self._latency_pending = []
-        by_deployment: dict = {}
-        for deployment, elapsed in pending:
-            bucket = by_deployment.get(deployment)
-            if bucket is None:
-                bucket = by_deployment[deployment] = []
-            bucket.append(elapsed)
-        for deployment, values in by_deployment.items():
-            deployment.latency.observe_many(values)
-            deployment.charges += len(values)
+    @property
+    def metrics(self) -> dict:
+        """The JSON ``/metrics`` counters, each read from its one store:
+        the server's own tallies, the ledger outcomes (``replayed``,
+        ``rejected_budget``), admission (``shed``) and the auditor
+        (``audit_recorded``)."""
+        admission = self.admission
+        sheds = {} if admission is None else admission.stats
+        counts = {
+            **self._counts,
+            "replayed": self._outcome_counts["replayed"],
+            "rejected_budget": self._outcome_counts["rejected"],
+            "shed": sheds.get("shed_queue_full", 0)
+            + sheds.get("shed_deadline", 0),
+            "brownout_skips": sum(self._brownout_skips.values()),
+            "audit_recorded": self.auditor.samples,
+        }
+        return {key: counts[key] for key in _COUNTERS}
 
-    def _collect_gauges(self) -> None:
-        """Scrape-time collector: request tallies, budget burn, WAL.
+    def _collect(self) -> None:
+        """Scrape-time collector: every layer's counts and timings into
+        their Prometheus families.
 
-        The hot-path dict tallies are mirrored into their Prometheus
-        families here, per scrape, never per request. The burn gauges
-        cost O(metric series), not O(users): the book keeps the
+        The layers keep each count once, in their own tallies, and the
+        families are filled from them here, per scrape, never per
+        request; latencies parked raw are bucketed here too. The burn
+        gauges cost O(metric series), not O(users): the book keeps the
         floor-proximity counts and the top burners current on every
         charge (see ``MemoryLedgerBook.burn_summary``); ``GET /obs/burn``
         is the drill-down that walks every user. Never raises: a scrape
         must not fail because the ledger is mid-shutdown.
         """
-        obs = self._obs
+        obs = self.telemetry
         try:
-            self._fold_latency()
             for status, count in self._status_counts.items():
-                obs.requests.labels("publish", str(status)).value = float(
-                    count
-                )
+                _count(obs.requests, count, "publish", str(status))
             for outcome, count in self._outcome_counts.items():
-                if count:
-                    obs.ledger_outcomes.labels(outcome).value = float(count)
-            stats = self.ledgers.stats()
+                _count(obs.ledger_outcomes, count, outcome)
+            batcher = self.batcher
+            for reason, count in batcher.flush_reasons.items():
+                _count(obs.batch_flushes, count, reason)
+            if batcher.rows:
+                sizes = obs.batch_size.labels()
+                sizes.counts, sizes.sum = batcher.sizes, batcher.rows
+                sizes.count = sum(batcher.sizes)
+            _timed(obs.batch_flush_latency, batcher.flush_latency)
+            _timed(obs.gather_latency, self._gather_latency)
+            book = self.ledgers
+            stats = book.stats()
             if "journal_bytes" in stats:
                 obs.wal_journal_bytes.set(stats["journal_bytes"])
-            near_floor, top_burners = self.ledgers.burn_summary()
-            for k, count in near_floor.items():
-                obs.users_near_floor.labels(str(k)).set(count)
-            for user, spent in top_burners:
-                obs.user_spent_fraction.labels(user).set(spent)
-            for deployment in self._deployments.values():
-                alpha = float(deployment.spec.alpha)
-                if 0 < alpha < 1:
-                    obs.deployment_epsilon.labels(
-                        deployment.spec.key()[:12]
-                    ).set(deployment.charges * -math.log(alpha))
-            obs.breaker_state.set(1.0 if self.breaker.open else 0.0)
+            _timed(obs.wal_append_latency, book.append_latency)
+            _timed(
+                obs.wal_fsync_latency, book.fsync_latency,
+                stats.get("fsync", ""),
+            )
+            _count(obs.ledger_compactions, stats.get("compactions"))
+            for kind, count in self._brownout_skips.items():
+                _count(obs.brownout_skips, count, kind)
+            _count(obs.degraded_responses, self._counts["degraded"])
+            breaker = self.breaker
+            _count(obs.breaker_trips, breaker.trips, "open")
+            _count(obs.breaker_trips, breaker.recoveries, "recover")
+            obs.breaker_state.set(1.0 if breaker.open else 0.0)
             admission = self.admission
             if admission is not None:
+                for reason in ("queue_full", "deadline"):
+                    count = admission.stats[f"shed_{reason}"]
+                    _count(obs.sheds, count, reason)
                 obs.admission_inflight.set(float(admission.inflight))
                 obs.admission_brownout.set(
                     1.0 if admission.brownout else 0.0
                 )
+            for deployment in self._deployments.values():
+                charges = deployment.latency.fold().count
+                alpha = float(deployment.spec.alpha)
+                if 0 < alpha < 1:
+                    obs.deployment_epsilon.labels(
+                        deployment.spec.key()[:12]
+                    ).set(charges * -math.log(alpha))
             if self.config.degraded == "geometric":
                 fallbacks = [
                     q for q in self._quarantined.values()
@@ -489,6 +524,12 @@ class MechanismServer:
                 ]
                 obs.degraded_deployments.set(float(len(fallbacks)))
             obs.worker_ready.set(1.0 if self.readiness()[0] else 0.0)
+            # Last: a closed or failed book raises here.
+            near_floor, top_burners = book.burn_summary()
+            for k, count in near_floor.items():
+                obs.users_near_floor.labels(str(k)).set(count)
+            for user, spent in top_burners:
+                obs.user_spent_fraction.labels(user).set(spent)
         except Exception:  # noqa: BLE001 - scrapes must stay available
             pass
 
@@ -538,11 +579,15 @@ class MechanismServer:
         self._spec_cache[cache_key] = resolved
         return resolved
 
-    def reply(self, status: int, counter: str, body: dict) -> tuple[int, dict]:
-        """Count one answer under its ``metrics`` key and its status, and
+    def reply(
+        self, status: int, counter: str | None, body: dict
+    ) -> tuple[int, dict]:
+        """Count one answer under its status and, unless the layer that
+        decided it keeps that count (``None``), its ``metrics`` key; and
         return it: the one exit of every publish stage and of the HTTP
         edge's refusals."""
-        self.metrics[counter] += 1
+        if counter is not None:
+            self._counts[counter] += 1
         counts = self._status_counts
         counts[status] = counts.get(status, 0) + 1
         return status, body
@@ -569,9 +614,7 @@ class MechanismServer:
                 deadline = None
         shed = admission.try_admit(deadline)
         if shed is not None:
-            if self._obs is not None:
-                self._obs.sheds.labels(shed.reason).inc()
-            return self.reply(shed.status, "shed", {
+            return self.reply(shed.status, None, {
                 "error": "overloaded: the request was shed before any "
                 "budget charge; retry after the hinted delay (no "
                 "idempotency key needed — nothing was spent)",
@@ -590,36 +633,33 @@ class MechanismServer:
         joins; traced responses carry ``"trace"``. Under brownout the
         trace coin is skipped (optional work sheds first), counted.
         """
-        obs = self._obs
-        if obs is None:
-            return await self._publish(payload, 0.0, None)
+        tracer = self.telemetry.tracer
         t0 = time.perf_counter()
-        rate = self._trace_rate
+        rate = tracer.rate
         ctx = None
         if rate > 0.0:
             admission = self.admission
             if admission is not None and admission.brownout:
-                self.metrics["brownout_skips"] += 1
-                obs.brownout_skips.labels("trace").inc()
-            elif rate >= 1.0 or obs.tracer.coin() < rate:
+                self._brownout_skips["trace"] += 1
+            elif rate >= 1.0 or tracer.coin() < rate:
                 # Inline of Tracer.sample: one C-level RNG draw decides,
                 # and only the sampled fraction constructs a context.
-                ctx = obs.tracer.begin()
+                ctx = tracer.begin()
         if ctx is None:
             return await self._publish(payload, t0, None)
-        token = obs.tracer.activate(ctx)
+        token = tracer.activate(ctx)
         try:
-            with obs.tracer.span("server.publish"):
+            with span("server.publish"):
                 status, response = await self._publish(payload, t0, ctx)
         finally:
-            obs.tracer.deactivate(token)
+            tracer.deactivate(token)
         response["trace"] = ctx.trace_id
         return status, response
 
     async def _publish(self, payload: dict, t0: float, trace):
         """The stages, in order; each returns ``None`` to go on or the
         ``(status, body)`` that ends the request."""
-        self.metrics["requests"] += 1
+        self._counts["requests"] += 1
         request = _Request(payload, t0, trace)
         return (
             self._parse(request)
@@ -716,7 +756,7 @@ class MechanismServer:
             if req.trace is None:
                 decision = charge(user, alpha, label=label, idem=idem)
             else:
-                with self._obs.tracer.span("ledger.charge", user=user):
+                with span("ledger.charge", user=user):
                     decision = charge(user, alpha, label=label, idem=idem)
         except LedgerUnavailableError as err:
             self._trip_wal(str(err))
@@ -734,9 +774,9 @@ class MechanismServer:
         self._outcome_counts[decision.outcome] += 1
         if decision.outcome == "replayed":
             status, response = decision.replay
-            return self.reply(status, "replayed", dict(response))
+            return self.reply(status, None, dict(response))
         if decision.outcome == "rejected":
-            return self.reply(429, "rejected_budget", {
+            return self.reply(429, None, {
                 "error": f"release at alpha={alpha} would take user "
                 f"{user!r} below the privacy floor {self.config.floor}",
                 "user": user,
@@ -783,19 +823,16 @@ class MechanismServer:
             "key": req.key[:12],
             "cumulative_alpha": str(req.decision.cumulative_alpha),
         }
-        obs = self._obs
-        if obs is not None:
-            # Deferred: bucketed by _fold_latency at scrape time.
-            pending = self._latency_pending
-            pending.append((deployment, time.perf_counter() - req.t0))
-            if len(pending) >= _LATENCY_FOLD_CAP:
-                self._fold_latency()
+        # Deferred: one list append here, bucketed at scrape time.
+        latency = deployment.latency
+        pending = latency.pending
+        pending.append(time.perf_counter() - req.t0)
+        if len(pending) >= FOLD_CAP:
+            latency.fold()
         if req.degraded_from is not None:
             response["degraded"] = "geometric"
             response["requested_key"] = req.degraded_from[:12]
-            self.metrics["degraded"] += 1
-            if obs is not None:
-                obs.degraded_responses.inc()
+            self._counts["degraded"] += 1
         if self.breaker.open and self.breaker.policy == "memory":
             # The alarm of memory-mode-with-alarm: every volatile
             # release says so — a durability downgrade is never silent.
@@ -824,14 +861,11 @@ class MechanismServer:
         if breaker.policy == "memory":
             self.ledgers.go_volatile()
         if not was_open:
-            obs = self._obs
-            if obs is not None:
-                obs.breaker_trips.labels("open").inc()
-                # Bypasses trace sampling — a durability outage is
-                # always worth a record.
-                obs.tracer.event(
-                    "wal.breaker-open", policy=breaker.policy, reason=reason
-                )
+            # Bypasses trace sampling — a durability outage is always
+            # worth a record.
+            self.telemetry.tracer.event(
+                "wal.breaker-open", policy=breaker.policy, reason=reason
+            )
 
     def _recover_wal(self) -> None:
         """Half-open probe: the book reopens its WAL, reloads, probes
@@ -846,10 +880,7 @@ class MechanismServer:
             self.breaker.trip(f"recovery probe failed: {err}")
             return
         self.breaker.reset()
-        obs = self._obs
-        if obs is not None:
-            obs.breaker_trips.labels("recover").inc()
-            obs.tracer.event("wal.breaker-recovered")
+        self.telemetry.tracer.event("wal.breaker-recovered")
 
     # -- readiness ------------------------------------------------------
     def readiness(self) -> tuple[bool, list[str]]:
@@ -896,171 +927,171 @@ class MechanismServer:
         params = _parse_query(query)
         if method != "GET":
             return 405, {"error": f"method {method} not allowed"}
-        status, response = self._route_get(path, params, headers)
-        obs = self._obs
-        if obs is not None:
-            route = path.split("/", 2)[1] if path.startswith("/") else path
-            obs.requests.labels(route or "root", str(status)).inc()
+        if path.startswith("/ledger/"):
+            status, response = self._get_ledger(path[len("/ledger/"):])
+        else:
+            view = self._GET_VIEWS.get(path)
+            if view is None:
+                status, response = 404, {"error": f"no route for GET {path}"}
+            else:
+                status, response = view(self, params, headers)
+        route = path.split("/", 2)[1] if path.startswith("/") else path
+        self.telemetry.requests.labels(route or "root", str(status)).inc()
         return status, response
 
-    def _route_get(
-        self, path: str, params: dict, headers: dict | None
-    ) -> tuple[int, dict]:
-        if path == "/healthz":
-            breaker = self.breaker
-            health = {
-                "status": "ok",
-                "deployments": len(self._deployments),
-                "quarantined": len(self._quarantined),
-                "draining": self._draining,
-                # Ledger/WAL health: journal bytes, seq, last-fsync
-                # latency, compaction count for a durable book.
-                "ledger": self.ledgers.stats(),
-                "breaker": breaker.snapshot(),
-                "durability": (
-                    "volatile"
-                    if breaker.open and breaker.policy == "memory"
-                    else "durable"
-                    if getattr(self.ledgers, "durable", False)
-                    else "memory"
-                ),
-                "degraded_mode": self.config.degraded,
-            }
-            if self.config.worker_id is not None:
-                health["worker"] = self.config.worker_id
-            if self.admission is not None:
-                health["admission"] = self.admission.snapshot()
-            return 200, health
-        if path == "/readyz":
-            # Readiness gates *new* traffic; /healthz answers "alive".
-            ready, reasons = self.readiness()
-            body: dict = {"ready": ready}
-            if reasons:
-                body["reasons"] = reasons
-            if self.config.worker_id is not None:
-                body["worker"] = self.config.worker_id
-            return (200 if ready else 503), body
-        if path == "/artifacts":
-            return 200, {
-                "artifacts": [
-                    {
-                        "kind": d.spec.kind,
-                        "n": d.spec.n,
-                        "alpha": str(d.spec.alpha),
-                        "loss": d.spec.loss,
-                        "side": (
-                            None if d.spec.side is None else list(d.spec.side)
-                        ),
-                        "key": d.spec.key()[:12],
-                        "verified": (
-                            d.verification is not None and d.verification.ok
-                        ),
-                    }
-                    for d in self._deployments.values()
-                ],
-                "quarantined": [
-                    {
-                        "kind": q["spec"].kind,
-                        "n": q["spec"].n,
-                        "alpha": str(q["spec"].alpha),
-                        "key": key[:12],
-                        "reason": q["reason"],
-                        # The geometric fallback serving in its place.
-                        "degraded_to": (
-                            None
-                            if q.get("fallback_key") is None
-                            else q["fallback_key"][:12]
-                        ),
-                    }
-                    for key, q in self._quarantined.items()
-                ],
-            }
-        if path == "/metrics":
-            if self._wants_prometheus(params, headers):
-                if self._obs is None:
-                    return 404, {
-                        "error": "telemetry is disabled on this server"
-                    }
-                text = self._obs.registry.render()
-                if self._obs.registry is not default_registry():
-                    # The solver layer reports into the process-default
-                    # registry: one scrape covers the whole stack.
-                    text += default_registry().render()
-                return 200, {
-                    "__raw__": text,
-                    "__content_type__": _PROM_CONTENT_TYPE,
-                }
-            return 200, {
-                "metrics": dict(self.metrics),
-                "batcher": dict(self.batcher.stats),
-                "admission": self.admission and self.admission.snapshot(),
-                "breaker": self.breaker.snapshot(),
-                "audit": {
-                    "rate": self.auditor.rate,
-                    "samples": self.auditor.samples,
-                    "findings": [
-                        {
-                            "key": f.key[:12],
-                            "kind": f.kind,
-                            "samples": f.samples,
-                            "sufficient": f.sufficient,
-                            "statistic": f.statistic,
-                            "limit": f.limit,
-                            "flagged": f.flagged,
-                        }
-                        for f in self.auditor.last_findings
-                    ],
-                },
-                "ledger": self.ledgers.stats(),
-                "users": self.ledgers.users(),
-            }
-        if path.startswith("/ledger/"):
-            user = path[len("/ledger/"):]
-            budget = self.ledgers.view(user)
-            if budget is None:
-                return 404, {"error": f"no releases recorded for {user!r}"}
-            return 200, {
-                "user": user,
-                "releases": budget.releases,
-                "floor": str(budget.floor),
-                "cumulative_alpha": str(budget.cumulative_alpha),
-                "cumulative_epsilon": budget.cumulative_epsilon,
-                "remaining_alpha": str(budget.remaining_alpha),
-            }
-        if path == "/trace/recent":
-            if self._obs is None:
-                return 404, {"error": "telemetry is disabled on this server"}
-            try:
-                limit = int(params.get("limit", 100))
-            except ValueError:
-                return 400, {"error": "limit must be an integer"}
-            spans = self._obs.tracer.recent(
-                limit,
-                name=params.get("name"),
-                trace=params.get("trace"),
-            )
-            return 200, {"spans": spans, "emitted": self._obs.tracer.emitted}
-        if path == "/obs/burn":
-            rows = burn_rows_from_book(self.ledgers)
-            try:
-                limit = int(params.get("limit", 50))
-            except ValueError:
-                return 400, {"error": "limit must be an integer"}
-            return 200, {
-                "users": len(rows),
-                "floor_proximity": floor_proximity(rows),
-                "rows": [row.to_dict() for row in rows[:limit]],
-            }
-        return 404, {"error": f"no route for GET {path}"}
+    # -- the GET views ---------------------------------------------------
+    def _get_healthz(self, params, headers):
+        breaker = self.breaker
+        health = {
+            "status": "ok",
+            "deployments": len(self._deployments),
+            "quarantined": len(self._quarantined),
+            "draining": self._draining,
+            # Ledger/WAL health: journal bytes, seq, last-fsync latency,
+            # compaction count for a durable book.
+            "ledger": self.ledgers.stats(),
+            "breaker": breaker.snapshot(),
+            "durability": (
+                "volatile"
+                if breaker.open and breaker.policy == "memory"
+                else "durable"
+                if getattr(self.ledgers, "durable", False)
+                else "memory"
+            ),
+            "degraded_mode": self.config.degraded,
+        }
+        if self.config.worker_id is not None:
+            health["worker"] = self.config.worker_id
+        if self.admission is not None:
+            health["admission"] = self.admission.snapshot()
+        return 200, health
 
-    @staticmethod
-    def _wants_prometheus(params: dict, headers: dict | None) -> bool:
-        if params.get("format") == "prometheus":
-            return True
-        if headers is None:
-            return False
-        accept = headers.get("accept", "")
-        return any(kind in accept for kind in _PROM_ACCEPT)
+    def _get_readyz(self, params, headers):
+        # Readiness gates *new* traffic; /healthz answers "alive".
+        ready, reasons = self.readiness()
+        body: dict = {"ready": ready}
+        if reasons:
+            body["reasons"] = reasons
+        if self.config.worker_id is not None:
+            body["worker"] = self.config.worker_id
+        return (200 if ready else 503), body
+
+    def _get_artifacts(self, params, headers):
+        return 200, {
+            "artifacts": [
+                {
+                    "kind": d.spec.kind,
+                    "n": d.spec.n,
+                    "alpha": str(d.spec.alpha),
+                    "loss": d.spec.loss,
+                    "side": None if d.spec.side is None else list(d.spec.side),
+                    "key": d.spec.key()[:12],
+                    "verified": (
+                        d.verification is not None and d.verification.ok
+                    ),
+                }
+                for d in self._deployments.values()
+            ],
+            "quarantined": [
+                {
+                    "kind": q["spec"].kind,
+                    "n": q["spec"].n,
+                    "alpha": str(q["spec"].alpha),
+                    "key": key[:12],
+                    "reason": q["reason"],
+                    # The geometric fallback serving in its place.
+                    "degraded_to": (
+                        None
+                        if q.get("fallback_key") is None
+                        else q["fallback_key"][:12]
+                    ),
+                }
+                for key, q in self._quarantined.items()
+            ],
+        }
+
+    def _get_metrics(self, params, headers):
+        accept = (headers or {}).get("accept", "")
+        if params.get("format") == "prometheus" or any(
+            kind in accept for kind in _PROM_ACCEPT
+        ):
+            # The solver layer reports into the process-default
+            # registry: one scrape covers the whole stack.
+            text = (
+                self.telemetry.registry.render() + default_registry().render()
+            )
+            return 200, {
+                "__raw__": text,
+                "__content_type__": _PROM_CONTENT_TYPE,
+            }
+        auditor = self.auditor
+        return 200, {
+            "metrics": self.metrics,
+            "batcher": self.batcher.stats,
+            "admission": self.admission and self.admission.snapshot(),
+            "breaker": self.breaker.snapshot(),
+            "audit": {
+                "rate": auditor.rate,
+                "samples": auditor.samples,
+                "findings": [
+                    {
+                        "key": f.key[:12],
+                        "kind": f.kind,
+                        "samples": f.samples,
+                        "sufficient": f.sufficient,
+                        "statistic": f.statistic,
+                        "limit": f.limit,
+                        "flagged": f.flagged,
+                    }
+                    for f in auditor.last_findings
+                ],
+            },
+            "ledger": self.ledgers.stats(),
+            "users": self.ledgers.users(),
+        }
+
+    def _get_ledger(self, user: str):
+        budget = self.ledgers.view(user)
+        if budget is None:
+            return 404, {"error": f"no releases recorded for {user!r}"}
+        return 200, {
+            "user": user,
+            "releases": budget.releases,
+            "floor": str(budget.floor),
+            "cumulative_alpha": str(budget.cumulative_alpha),
+            "cumulative_epsilon": budget.cumulative_epsilon,
+            "remaining_alpha": str(budget.remaining_alpha),
+        }
+
+    def _get_trace_recent(self, params, headers):
+        limit = _limit(params, 100)
+        if limit is None:
+            return 400, {"error": _BAD_LIMIT}
+        tracer = self.telemetry.tracer
+        spans = tracer.recent(
+            limit, name=params.get("name"), trace=params.get("trace")
+        )
+        return 200, {"spans": spans, "emitted": tracer.emitted}
+
+    def _get_burn(self, params, headers):
+        limit = _limit(params, 50)
+        if limit is None:
+            return 400, {"error": _BAD_LIMIT}
+        rows = burn_rows_from_book(self.ledgers)
+        return 200, {
+            "users": len(rows),
+            "floor_proximity": floor_proximity(rows),
+            "rows": [row.to_dict() for row in rows[:limit]],
+        }
+
+    _GET_VIEWS = {
+        "/healthz": _get_healthz,
+        "/readyz": _get_readyz,
+        "/artifacts": _get_artifacts,
+        "/metrics": _get_metrics,
+        "/trace/recent": _get_trace_recent,
+        "/obs/burn": _get_burn,
+    }
 
     # -- entry points ---------------------------------------------------
     async def start(
@@ -1140,8 +1171,7 @@ class MechanismServer:
                     file=sys.stderr,
                 )
         self.ledgers.close()  # fsyncs whatever the last batch journaled
-        if self._obs is not None:
-            self._obs.close()  # drains the span log
+        self.telemetry.close()  # drains the span log
 
     def request_shutdown(self) -> None:
         """Ask :meth:`serve_forever` to drain and exit (signal-safe when

@@ -21,8 +21,8 @@ The supervisor itself is deliberately boring and stdlib-only: a
 synchronous loop that spawns workers, reads their **heartbeat pipes**
 (one ``os.pipe`` per worker; the worker writes a JSON line every
 ``heartbeat_interval`` seconds carrying its pid, readiness, and publish
-count), cross-checks liveness with real ``GET /healthz`` probes through
-the shared listener, and restarts whatever dies:
+count), and restarts whatever dies — heartbeats make every restart
+decision:
 
 * a worker that **exits** (crash, ``SIGKILL``, OOM) is respawned with
   capped exponential backoff (``backoff_base * 2**failures`` up to
@@ -149,10 +149,6 @@ class ServingSupervisor:
     drain_deadline:
         Lame-duck patience: seconds workers get to drain after
         ``SIGTERM`` before ``SIGKILL``.
-    probe_interval:
-        Cadence of supervisor-side ``GET /healthz`` probes through the
-        shared listener (``0`` disables); probe results land in
-        :attr:`stats` — heartbeats stay authoritative for liveness.
     slot_overrides:
         Optional per-slot config overlays (``{slot_index: {...}}``),
         merged over ``worker_config`` and validated the same way — how
@@ -173,7 +169,6 @@ class ServingSupervisor:
         backoff_cap: float = 5.0,
         stability_reset: float = 5.0,
         drain_deadline: float = 5.0,
-        probe_interval: float = 1.0,
         slot_overrides: dict | None = None,
     ) -> None:
         if workers < 1:
@@ -193,13 +188,11 @@ class ServingSupervisor:
         self.backoff_cap = float(backoff_cap)
         self.stability_reset = float(stability_reset)
         self.drain_deadline = float(drain_deadline)
-        self.probe_interval = float(probe_interval)
         self._slots = [_WorkerSlot(i) for i in range(self.workers)]
         self._socket: socket.socket | None = None
         self._draining = False
         self._shutdown = False
         self._reload_requested = False
-        self._last_probe = 0.0
         self._env = dict(os.environ)
         # Children run `python -m repro.serving.supervisor --worker ...`;
         # make sure they can import repro exactly as this process does
@@ -213,9 +206,6 @@ class ServingSupervisor:
             "heartbeat_kills": 0,
             "not_ready_restarts": 0,
             "rolling_reloads": 0,
-            "probes": 0,
-            "probe_failures": 0,
-            "last_probe_status": None,
         }
 
     # -- lifecycle ------------------------------------------------------
@@ -322,7 +312,7 @@ class ServingSupervisor:
             self._close_heartbeat(slot)
 
     def poll(self) -> None:
-        """One supervision pass: reap, judge heartbeats, restart, probe.
+        """One supervision pass: reap, judge heartbeats, restart.
 
         Synchronous and cheap — :meth:`run` calls it in a loop, tests
         call it directly to step the supervisor deterministically.
@@ -381,31 +371,14 @@ class ServingSupervisor:
                 slot.restart_at = None
                 self._spawn(slot)
                 self.stats["restarts"] += 1
-        if (
-            self.probe_interval > 0
-            and not self._draining
-            and self._socket is not None
-            and now - self._last_probe >= self.probe_interval
-            and any(slot.alive() for slot in self._slots)
-        ):
-            self._last_probe = now
-            self.stats["probes"] += 1
-            try:
-                status, _payload = self.probe("/healthz", timeout=1.0)
-                self.stats["last_probe_status"] = status
-            except OSError:
-                self.stats["probe_failures"] += 1
-                self.stats["last_probe_status"] = None
 
     def probe(
         self, path: str = "/healthz", *, timeout: float = 2.0
     ) -> tuple[int, dict]:
-        """One synchronous HTTP GET through the shared listener.
-
-        The kernel picks whichever worker accepts — this is the
-        end-to-end liveness cross-check the heartbeat pipes cannot
-        provide (a worker can beat while its listener is gone).
-        """
+        """One synchronous HTTP GET through the shared listener, for
+        callers that want an end-to-end answer: the kernel picks
+        whichever worker accepts. The supervisor itself never probes;
+        heartbeats decide restarts."""
         with socket.create_connection(
             ("127.0.0.1", self.port), timeout=timeout
         ) as conn:

@@ -13,9 +13,11 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.obs.metrics import (
+    FOLD_CAP,
     Counter,
     Gauge,
     Histogram,
+    LatencyLog,
     MetricsRegistry,
     default_latency_buckets,
     default_registry,
@@ -201,6 +203,38 @@ class TestHistogram:
         assert bounds[0] == 1e-6
         assert bounds[-1] > 8.0
         assert all(b < c for b, c in zip(bounds, bounds[1:]))
+
+
+class TestLatencyLog:
+    def test_folds_at_the_cap_so_an_unread_log_stays_bounded(self):
+        log = LatencyLog()
+        for _ in range(FOLD_CAP + 3):
+            log.add(1e-3)
+        assert len(log.pending) == 3
+        assert log.child.count == FOLD_CAP
+        assert log.fold().count == FOLD_CAP + 3 and not log.pending
+
+    def test_an_attached_series_renders_under_its_labels(self):
+        registry = MetricsRegistry()
+        family = registry.histogram("lat_seconds", "", labels=("mode",))
+        log = LatencyLog()
+        log.pending.extend([1e-6, 3e-6])
+        family.attach(log.fold(), "group")
+        text = registry.render()
+        assert 'lat_seconds_count{mode="group"} 2' in text
+        assert 'lat_seconds_bucket{mode="group",le="1e-06"} 1' in text
+
+    def test_a_book_nobody_scrapes_stays_bounded(self, tmp_path, monkeypatch):
+        import repro.release.durable_ledger as ledger_module
+
+        monkeypatch.setattr(ledger_module, "FOLD_CAP", 4)
+        book = ledger_module.DurableLedger(tmp_path, fsync="always")
+        for i in range(10):
+            book.charge(f"u{i}", 0.5)
+        book.close()
+        assert len(book.append_latency.pending) < 4
+        assert book.append_latency.fold().count == 10
+        assert book.fsync_latency.fold().count == 10
 
 
 class TestRegistry:

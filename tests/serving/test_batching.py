@@ -166,3 +166,22 @@ class TestStats:
         assert stats["deadline_flushes"] == 1
         assert stats["batches"] == 3
         assert stats["max_batch"] == 2
+
+    def test_batches_above_8192_count_in_the_top_bucket(self):
+        """Sizes 8193-16383 count in ``"16384+"``, and the flush still
+        resolves every parked future."""
+        batcher = MicroBatcher(Recorder(), window=60.0, max_size=20000)
+
+        async def go():
+            parked = [
+                asyncio.ensure_future(batcher.submit(0, 1))
+                for _ in range(9000)
+            ]
+            await asyncio.sleep(0)
+            batcher.flush()
+            return await asyncio.gather(*parked)
+
+        assert run(go()) == [1] * 9000
+        occupancy = batcher.stats["occupancy"]
+        assert occupancy["16384+"] == 1
+        assert sum(occupancy.values()) == batcher.stats["batches"] == 1

@@ -55,4 +55,3 @@ class TestServerConfig:
             MechanismServer(store, config=server.config, floor="1/4")
         with pytest.raises(ValidationError, match="verify"):
             MechanismServer(store, verify=False)
-        assert MechanismServer(store, telemetry=False).telemetry is None

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.obs import MetricsRegistry, Telemetry, burn_rows_from_book
+from repro.obs import burn_rows_from_book
 from repro.release.artifacts import ArtifactSpec, ArtifactStore
 from repro.serving import (
     HTTPServingClient,
@@ -201,27 +201,6 @@ class TestMetricsRoute:
         assert status == 200
         assert "repro_artifact_store_total" in body["__raw__"]
 
-    def test_telemetry_off_serves_json_but_not_prometheus(self, store):
-        server = make_server(store, telemetry=False)
-        client = InProcessClient(server)
-
-        async def go():
-            publish = await client.publish(**publish_payload())
-            json_metrics = await server.handle_request("GET", "/metrics")
-            prom = await server.handle_request(
-                "GET", "/metrics?format=prometheus"
-            )
-            traces = await server.handle_request("GET", "/trace/recent")
-            await server.stop()
-            return publish, json_metrics, prom, traces
-
-        publish, json_metrics, prom, traces = run(go())
-        assert publish[0] == 200 and "trace" not in publish[1]
-        assert json_metrics[0] == 200
-        assert prom[0] == 404
-        assert traces[0] == 404
-        assert server.telemetry is None
-
     def test_http_scrape_returns_prometheus_text(self, store):
         server = make_server(store)
 
@@ -270,6 +249,41 @@ class TestTraceAndBurnRoutes:
             s["trace"] == body["trace"] for s in by_trace[1]["spans"]
         )
         assert bad[0] == 400
+
+    @pytest.mark.parametrize("route", ["/obs/burn", "/trace/recent"])
+    @pytest.mark.parametrize("limit", ["x", "-1", "", "1.5", "+2"])
+    def test_a_bad_limit_is_a_400_before_any_walk(
+        self, store, monkeypatch, route, limit
+    ):
+        """``limit`` is parsed first, as a non-negative integer: a bad
+        one walks neither the users nor the span ring."""
+        import repro.serving.server as server_module
+
+        server = make_server(store, trace_rate=1.0)
+        client = InProcessClient(server)
+        calls = []
+        real_walk = burn_rows_from_book
+        real_recent = server.telemetry.tracer.recent
+        monkeypatch.setattr(
+            server_module, "burn_rows_from_book",
+            lambda book: calls.append("walk") or real_walk(book),
+        )
+        monkeypatch.setattr(
+            server.telemetry.tracer, "recent",
+            lambda *a, **k: calls.append("recent") or real_recent(*a, **k),
+        )
+
+        async def go():
+            await client.publish(**publish_payload())
+            bad = await server.handle_request("GET", f"{route}?limit={limit}")
+            good = await server.handle_request("GET", f"{route}?limit=0")
+            await server.stop()
+            return bad, good
+
+        (status, body), (good_status, _) = run(go())
+        assert status == 400 and "non-negative integer" in body["error"]
+        assert good_status == 200
+        assert len(calls) == 1  # the good request's one walk
 
     def test_obs_burn_ranks_users(self, store):
         server = make_server(store, floor=Fraction(1, 8))
@@ -451,13 +465,13 @@ class TestAuditEvents:
 
 
 class TestBatcherStats:
-    def run_batch(self, telemetry=None, **kwargs):
+    def run_batch(self, **kwargs):
         import numpy as np
 
         def execute(tables, rows):
             return np.asarray(rows)
 
-        batcher = MicroBatcher(execute, telemetry=telemetry, **kwargs)
+        batcher = MicroBatcher(execute, **kwargs)
 
         async def go():
             await asyncio.gather(*[
@@ -486,14 +500,24 @@ class TestBatcherStats:
         assert occupancy["1"] == 1  # the deadline flush of the leftover
         assert sum(occupancy.values()) == batcher.stats["batches"]
 
-    def test_telemetry_metrics_follow_stats(self):
-        telemetry = Telemetry(MetricsRegistry())
-        batcher = self.run_batch(
-            telemetry=telemetry, window=0.001, max_size=4
-        )
+    def test_scrape_families_follow_stats(self, store):
+        server = make_server(store, batch_window=0.001, batch_max=4)
+        client = InProcessClient(server)
+
+        async def go():
+            await asyncio.gather(*[
+                client.publish(**publish_payload(user=f"u{i}"))
+                for i in range(5)
+            ])
+            server.telemetry.registry.render()
+            await server.stop()
+
+        run(go())
+        telemetry, stats = server.telemetry, server.batcher.stats
         flushes = {
             labels[0]: child.value
             for labels, child in telemetry.batch_flushes.children()
         }
         assert flushes == {"max_size": 1.0, "deadline": 1.0}
-        assert telemetry.batch_size.count == batcher.stats["batches"]
+        assert telemetry.batch_size.count == stats["batches"] == 2
+        assert telemetry.batch_size.quantile(1.0) == 4.0

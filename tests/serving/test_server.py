@@ -352,11 +352,20 @@ class TestMalformedHTTP:
     connection — never an unhandled exception in the handler task."""
 
     LONG = b"a" * (70 * 1024)
+    PUBLISH_56 = b'{"user": "gov", "n": 8, "alpha": "1/2", "true_result":3}'
     CASES = {
         "content-length-not-a-number":
             b"POST /publish HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
         "content-length-negative":
             b"POST /publish HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        # Repeats that disagree leave the body's end unknown; framed by
+        # either one, the publish would be served and charged.
+        "content-length-repeated-differing":
+            b"POST /publish HTTP/1.1\r\nContent-Length: 2\r\n"
+            b"Content-Length: 56\r\n\r\n" + PUBLISH_56,
+        "content-length-repeated-differing-first-longer":
+            b"POST /publish HTTP/1.1\r\nContent-Length: 56\r\n"
+            b"Content-Length: 2\r\n\r\n" + PUBLISH_56,
         "request-line-over-64k": b"GET /" + LONG + b" HTTP/1.1\r\n\r\n",
         "header-line-over-64k":
             b"GET /healthz HTTP/1.1\r\nX-Pad: " + LONG + b"\r\n\r\n",
@@ -415,6 +424,28 @@ class TestMalformedHTTP:
             return raw
 
         assert run(main()).startswith(b"HTTP/1.1 200 ")
+
+    def test_identical_content_lengths_still_serve(self, store):
+        async def main():
+            server = make_server(store)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                b"POST /publish HTTP/1.1\r\nConnection: close\r\n"
+                b"Content-Length: 56\r\nContent-Length: 56\r\n\r\n"
+                + self.PUBLISH_56
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            await server.stop()
+            return raw, server.metrics["published"]
+
+        raw, published = run(main())
+        assert raw.startswith(b"HTTP/1.1 200 ")
+        assert published == 1
 
     def test_an_escaping_exception_is_a_counted_500(self, store):
         """An exception past the charge answers 500 and closes; it counts

@@ -39,7 +39,6 @@ def make_fleet(tmp_path, *, workers=2, floor=HALF ** 20, config=None,
         "audit_rate": 0.0,
         "seed": 5,
         "queue_depth": 64,
-        "telemetry": False,
     }
     worker_config.update(config or {})
     kwargs.setdefault("heartbeat_interval", 0.1)
@@ -261,7 +260,6 @@ class TestFleetAcceptance:
                 "degraded": "geometric",
                 "wal_failure_policy": "reject-new-charges",
                 "breaker_cooldown": 0.2,
-                "telemetry": False,
             },
             workers=4,
             heartbeat_interval=0.1,
