@@ -44,11 +44,8 @@ import numpy as np
 
 from _report import emit, emit_bench
 
-from repro.core.geometric import geometric_matrix
-from repro.sampling.alias import (
-    HeterogeneousAliasSampler,
-    cached_geometric_sampler,
-)
+from repro.core.geometric import cached_geometric_mechanism, geometric_matrix
+from repro.sampling.alias import HeterogeneousAliasSampler
 from repro.sampling.geometric import (
     sample_two_sided_geometric,
     two_sided_geometric_pmf,
@@ -79,7 +76,7 @@ def check_exactness():
         (17, Fraction(3, 5)),
     ]:
         matrix = geometric_matrix(n, alpha)
-        sampler = cached_geometric_sampler(n, alpha)
+        sampler = cached_geometric_mechanism(n, alpha).sampler()
         assert sampler.is_exact()
         for i in range(n + 1):
             reconstructed = sampler.tables[i].cell_probabilities()
@@ -111,7 +108,7 @@ def check_statistics(draws_per_row):
     """Chi-square fit + fixed-seed equivalence vs the legacy sampler."""
     n, alpha = 9, Fraction(1, 3)
     matrix = geometric_matrix(n, alpha)
-    sampler = cached_geometric_sampler(n, alpha)
+    sampler = cached_geometric_mechanism(n, alpha).sampler()
     # dof = n per row; a chi-square statistic this far above the mean has
     # p < 1e-6, so a pass is a strong (yet non-flaky, seeded) fit check.
     limit = n + 10.0 * np.sqrt(2.0 * n)
@@ -162,7 +159,7 @@ def check_statistics(draws_per_row):
 
 def bench_throughput(n, alpha, batch, repeats):
     """Batched alias sampling vs the legacy noise-plus-clip path."""
-    sampler = cached_geometric_sampler(n, alpha)
+    sampler = cached_geometric_mechanism(n, alpha).sampler()
     rows = np.random.default_rng(7).integers(0, n + 1, size=batch)
     rng = np.random.default_rng(11)
     alias_seconds, alias_out = best_of(
@@ -199,7 +196,8 @@ def bench_heterogeneous(batch, repeats):
         (50, Fraction(2, 3)),
     ]
     fused = HeterogeneousAliasSampler(
-        cached_geometric_sampler(n, alpha) for n, alpha in deployments
+        cached_geometric_mechanism(n, alpha).sampler()
+        for n, alpha in deployments
     )
     seed_rng = np.random.default_rng(13)
     tables = seed_rng.integers(0, len(deployments), size=batch)

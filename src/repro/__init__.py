@@ -115,8 +115,8 @@ def clear_caches() -> None:
 
     Long-lived serving processes call this for memory hygiene: it clears
     the memoized loss tables, the shared LP constraint blocks, the
-    geometric-mechanism and ``G'``-inverse caches, the memoized alias
-    sampling tables, the in-memory tier of every live artifact store,
+    geometric-mechanism (with their alias tables) and ``G'``-inverse
+    caches, the in-memory tier of every live artifact store,
     and the in-memory tier of the default persistent solve cache.
     On-disk solve-cache and artifact entries are untouched (they are
     content-addressed and never stale).
@@ -128,14 +128,12 @@ def clear_caches() -> None:
     from .core.optimal import _shared_constraint_blocks
     from .losses import clear_loss_table_cache
     from .release.artifacts import clear_artifact_memory
-    from .sampling.alias import clear_alias_cache
     from .solvers.cache import default_cache
 
     _cached_geometric_mechanism.cache_clear()
     _gprime_inverse_cached.cache_clear()
     _shared_constraint_blocks.cache_clear()
     clear_loss_table_cache()
-    clear_alias_cache()
     clear_artifact_memory()
     default = default_cache()
     if default is not None:

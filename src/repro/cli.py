@@ -109,6 +109,14 @@ def _parse_alpha(text: str) -> Fraction:
         ) from None
 
 
+def _parse_limit(text: str) -> int:
+    """A row count: a negative one would slice rows off silently."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"limit must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank from a ledger directory at rest "
         "(default: REPRO_LEDGER_DIR when --server is not given)",
     )
-    obs_top.add_argument("--limit", type=int, default=20)
+    obs_top.add_argument("--limit", type=_parse_limit, default=20)
     obs_tail = obs_sub.add_parser(
         "tail", help="print recent trace spans, newest first"
     )
@@ -444,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir", default=None,
         help="read a trace.jsonl log written by serve --trace-dir",
     )
-    obs_tail.add_argument("--limit", type=int, default=20)
+    obs_tail.add_argument("--limit", type=_parse_limit, default=20)
     obs_tail.add_argument(
         "--name", default=None, help="only spans with this name"
     )

@@ -16,6 +16,10 @@ Pr[output r | true result i]``.
 Post-processing (the consumer interactions of Definition 3) is matrix
 multiplication on the right: ``x.post_process(T)`` is the mechanism
 ``x @ T``.
+
+Draws (:meth:`Mechanism.sample`, :meth:`Mechanism.sample_many`) walk the
+row's alias table (:mod:`repro.sampling.alias`), which each row builds
+on its first draw and keeps; the walk serves the row exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..linalg.rational import RationalMatrix
+from ..sampling.alias import AliasTable, RowAliasSampler
 from ..validation import (
     as_fraction,
     check_index,
@@ -61,7 +66,7 @@ class Mechanism:
     Fraction(1, 2)
     """
 
-    __slots__ = ("_matrix", "_exact", "name")
+    __slots__ = ("_matrix", "_exact", "name", "_tables")
 
     def __init__(
         self,
@@ -100,6 +105,7 @@ class Mechanism:
             check_row_stochastic(array, exact=self._exact, name="mechanism")
         self._matrix = array
         self.name = name
+        self._tables = [None] * array.shape[0]
 
     # ------------------------------------------------------------------
     # Constructors
@@ -246,19 +252,25 @@ class Mechanism:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
+    def alias_table(self, true_result: int) -> AliasTable:
+        """Row ``true_result`` as an alias table, built on its first use
+        and kept: every draw from this mechanism walks it."""
+        i = check_index(true_result, self.n, name="true_result")
+        table = self._tables[i]
+        if table is None:
+            table = self._tables[i] = AliasTable(self._matrix[i])
+        return table
+
+    def sampler(self) -> RowAliasSampler:
+        """Every row's :meth:`alias_table`, stacked for batched draws."""
+        return RowAliasSampler(map(self.alias_table, range(self.size)))
+
     def sample(
         self, true_result: int, rng: np.random.Generator | None = None
     ) -> int:
         """Sample one published output for ``true_result``."""
         rng = np.random.default_rng() if rng is None else rng
-        row = self.distribution(true_result)
-        probabilities = (
-            row.astype(float) if self._exact else np.asarray(row, dtype=float)
-        )
-        # Guard against tiny negative rounding noise before renormalizing.
-        probabilities = np.clip(probabilities, 0.0, None)
-        probabilities = probabilities / probabilities.sum()
-        return int(rng.choice(self.size, p=probabilities))
+        return self.alias_table(true_result).sample(rng)
 
     def sample_many(
         self,
@@ -267,13 +279,8 @@ class Mechanism:
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Sample ``count`` i.i.d. published outputs for ``true_result``."""
-        if count < 0:
-            raise ValidationError(f"count must be >= 0, got {count}")
         rng = np.random.default_rng() if rng is None else rng
-        row = self.distribution(true_result)
-        probabilities = np.clip(np.asarray(row, dtype=float), 0.0, None)
-        probabilities = probabilities / probabilities.sum()
-        return rng.choice(self.size, size=count, p=probabilities)
+        return self.alias_table(true_result).sample(rng, count)
 
     # ------------------------------------------------------------------
     # Loss evaluation (Section 2.3)

@@ -8,7 +8,10 @@ drawn from ``G_{n,alpha_1}`` on the true count, and each subsequent
 stochastic matrix by Lemma 3). Marginally each ``r_i`` is distributed as
 ``G_{n,alpha_i}``; jointly, everything after ``r_1`` is a function of
 ``r_1`` plus independent coins, so a coalition learns no more about the
-database than its least-private member (Lemma 4).
+database than its least-private member (Lemma 4). Each draw, the first
+level and every chain step, walks the exact alias table of its kernel
+row (:mod:`repro.sampling.alias`), so the chain serves Lemma 3's
+kernels exactly.
 
 The naive alternative — ``k`` independent geometric releases — leaks:
 the joint ratio between adjacent counts degrades to the *product*
@@ -26,13 +29,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..sampling.rng import ensure_generator
-from ..validation import (
-    as_fraction,
-    check_alpha,
-    check_index,
-    check_result_range,
-    is_exact_array,
-)
+from ..validation import check_alpha, check_index, check_result_range
 from .derivability import privacy_chain_kernel
 from .geometric import GeometricMechanism
 from .mechanism import Mechanism
@@ -104,7 +101,7 @@ class MultiLevelRelease:
             GeometricMechanism(self.n, alpha) for alpha in levels
         )
         self._kernels = tuple(
-            privacy_chain_kernel(self.n, a, b)
+            Mechanism(privacy_chain_kernel(self.n, a, b), validate=False)
             for a, b in zip(levels, levels[1:])
         )
 
@@ -119,25 +116,21 @@ class MultiLevelRelease:
 
     def kernel(self, level: int) -> np.ndarray:
         """The kernel carrying level ``level`` to ``level + 1``."""
-        return self._kernels[level]
+        return self._kernels[level].matrix
 
     # ------------------------------------------------------------------
     def release(self, true_result: int, rng=None) -> list[int]:
         """Draw one correlated release ``[r_1, ..., r_k]``.
 
         ``r_1`` samples ``G_{alpha_1}`` on the true result; each later
-        ``r_{i+1}`` samples row ``r_i`` of the chain kernel.
+        ``r_{i+1}`` samples row ``r_i`` of the chain kernel. Every step
+        walks that row's alias table (:meth:`Mechanism.sample`).
         """
         true_result = check_index(true_result, self.n, name="true_result")
         rng = ensure_generator(rng)
         results = [self._mechanisms[0].sample(true_result, rng)]
         for kernel in self._kernels:
-            row = np.asarray(
-                kernel[results[-1]], dtype=float
-            )
-            row = np.clip(row, 0.0, None)
-            row = row / row.sum()
-            results.append(int(rng.choice(self.n + 1, p=row)))
+            results.append(kernel.sample(results[-1], rng))
         return results
 
     def release_many(
@@ -161,10 +154,11 @@ class MultiLevelRelease:
         true_result = check_index(true_result, self.n, name="true_result")
         size = self.n + 1
         first = self._mechanisms[0].matrix[true_result]
+        kernels = [kernel.matrix for kernel in self._kernels]
         joint: dict[tuple[int, ...], object] = {}
         for tuple_outputs in itertools.product(range(size), repeat=self.num_levels):
             probability = first[tuple_outputs[0]]
-            for step, kernel in enumerate(self._kernels):
+            for step, kernel in enumerate(kernels):
                 probability = probability * kernel[
                     tuple_outputs[step], tuple_outputs[step + 1]
                 ]

@@ -282,6 +282,15 @@ class _Family:
         """A stable list of ``(label_values, child)`` pairs."""
         return list(self._children.items())
 
+    def retain(self, keep) -> None:
+        """Drop every child whose label values are not in ``keep``."""
+        keep = {tuple(map(str, values)) for values in keep}
+        with self._lock:
+            self._children = {
+                values: child for values, child in self._children.items()
+                if values in keep
+            }
+
     def _bare(self):
         """The unlabeled child (only for families with no labels)."""
         return self.labels()

@@ -6,12 +6,14 @@ run a solver at all. A :class:`MechanismArtifact` packages everything a
 consumer process touches at publish time:
 
 * the **exact rational kernel** — the mechanism matrix over ``Fraction``;
-* the **float fast-path matrix** (derived, ``kernel.astype(float)``);
+* the **float matrix** (derived, ``kernel.astype(float)``), the view
+  the online auditor compares bespoke deployments against;
 * per-row **alias sampling tables** with exact rational thresholds
   (:class:`repro.sampling.alias.AliasTable`), so publishing is O(1)
-  lookups per draw. The range-restricted geometric rows already fold
-  the unbounded two-sided-geometric tail mass into the cap outputs
-  ``{0, n}`` exactly, so no tail is ever truncated;
+  lookups per draw and the draw serves the kernel exactly. The
+  range-restricted geometric rows already fold the unbounded
+  two-sided-geometric tail mass into the cap outputs ``{0, n}``
+  exactly, so no tail is ever truncated;
 * the **optimality certificate** — for bespoke LP-solved mechanisms, the
   exact strong-duality dual vector of
   :func:`repro.solvers.hybrid.find_certificate`, replayable offline by
@@ -270,12 +272,13 @@ class MechanismArtifact:
 
     @property
     def sampler(self) -> RowAliasSampler:
-        """The O(1) per-draw alias sampler over the kernel rows."""
+        """The O(1) per-draw alias sampler over the kernel rows; its walk
+        serves the kernel exactly."""
         return self._sampler
 
     @property
     def float_matrix(self) -> np.ndarray:
-        """Float64 fast-path view of the kernel (derived, cached)."""
+        """Float64 view of the kernel (derived, cached)."""
         if self._float_matrix is None:
             matrix = self.kernel.astype(float)
             matrix.setflags(write=False)
@@ -518,33 +521,15 @@ def _verify_geometric_kernel(artifact: MechanismArtifact) -> list[str]:
     return failures
 
 
-def _verify_float_slice(artifact: MechanismArtifact) -> list[str]:
-    """Audit-replay slice: float fast path vs the vectorized pmf."""
-    failures = []
-    n, alpha = artifact.n, artifact.alpha
-    floats = artifact.float_matrix
-    for i in range(n + 1):
-        interior = np.arange(1, n)
-        if interior.size == 0:
-            continue
-        expected = two_sided_geometric_pmf(float(alpha), interior - i)
-        if not np.allclose(floats[i, 1:n], expected, rtol=1e-12, atol=0):
-            failures.append(
-                f"float fast-path row {i} diverges from the vectorized pmf"
-            )
-            return failures
-    return failures
-
-
 def verify_artifact(artifact: MechanismArtifact) -> ArtifactVerification:
     """Replay every proof an artifact carries; zero LP solves.
 
     * every kind: row sums of the kernel are exactly 1; each alias
       table's exact cell probabilities reconstruct its kernel row
-      bit-for-bit (so the sampler provably samples the kernel);
+      bit-for-bit — and those are the law the sampler's exact walk
+      serves, so the draw provably serves the kernel;
     * ``geometric``: the kernel equals the exact two-sided-geometric
-      law with tail mass folded into the caps (Definition 4), and the
-      float fast path matches the vectorized pmf on interior slices;
+      law with tail mass folded into the caps (Definition 4);
     * ``optimal``: the Section 2.5 LP is *rebuilt* (construction only —
       no solver) and the stored strong-duality certificate is replayed
       by :func:`repro.solvers.hybrid.replay_certificate`, proving the
@@ -592,8 +577,6 @@ def _verify_artifact(artifact: MechanismArtifact) -> ArtifactVerification:
     if spec.kind == "geometric":
         checks.append("geometric-pmf-law")
         failures.extend(_verify_geometric_kernel(artifact))
-        checks.append("float-pmf-slice")
-        failures.extend(_verify_float_slice(artifact))
     else:
         checks.append("certificate-replay")
         if artifact.certificate is None or artifact.loss_value is None:

@@ -6,12 +6,15 @@ for consumers whose loss functions and side information are unknown at
 release time. By Theorem 1 the right mechanism to deploy is geometric;
 the publisher does exactly that and records everything an auditor needs.
 
-The batch hot path draws from precomputed per-row alias tables
-(:mod:`repro.sampling.alias`): O(1) per sample, one vectorized tick per
-batch, distributed identically to the per-release path because the
-range-restricted geometric rows fold the unbounded noise tails into the
-cap outputs exactly (Definition 4). A publisher can also be constructed
-from a compiled :class:`~repro.release.artifacts.MechanismArtifact`
+Every release is drawn by the one exact walk of
+:mod:`repro.sampling.alias` over per-row alias tables: O(1) per sample,
+one vectorized tick per batch, and the law served is the kernel row
+exactly, caps included (the range-restricted geometric rows fold the
+unbounded noise tails into the cap outputs, Definition 4). Without an
+artifact the tables are those of the memoized
+:func:`~repro.core.geometric.cached_geometric_mechanism`. A publisher can
+also be constructed from a compiled
+:class:`~repro.release.artifacts.MechanismArtifact`
 (:meth:`Publisher.from_artifact`), in which case the kernel and tables
 come straight from the verified artifact and no mechanism is ever
 rebuilt in the serving process.
@@ -25,13 +28,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..core.geometric import GeometricMechanism
+from ..core.geometric import cached_geometric_mechanism
 from ..core.mechanism import Mechanism
 from ..db.database import Database
 from ..db.engine import QueryEngine
 from ..db.queries import CountQuery
 from ..exceptions import ValidationError
-from ..sampling.alias import RowAliasSampler, cached_geometric_sampler
+from ..sampling.alias import RowAliasSampler
 from ..sampling.rng import ensure_generator
 
 __all__ = ["PublishedStatistic", "Publisher"]
@@ -102,8 +105,8 @@ class Publisher:
             self._sampler = artifact.sampler
         else:
             self.alpha = alpha
-            self._mechanism = GeometricMechanism(database.size, alpha)
-            self._sampler = cached_geometric_sampler(database.size, alpha)
+            self._mechanism = cached_geometric_mechanism(database.size, alpha)
+            self._sampler = self._mechanism.sampler()
 
     @classmethod
     def from_artifact(cls, database: Database, artifact) -> "Publisher":
@@ -133,12 +136,12 @@ class Publisher:
     def publish(self, query: CountQuery, rng=None) -> PublishedStatistic:
         """Evaluate ``query`` and release one geometric perturbation.
 
-        Draws through the same precomputed alias tables as
-        :meth:`publish_batch` (:meth:`RowAliasSampler.sample_one`): one
-        uniform, two lookups, one compare — no per-release noise
-        sampling or clipping, and no distributional drift between the
-        scalar and batch paths, since both walk identical tables whose
-        rows carry the folded tail mass of Definition 4 exactly.
+        Draws through the same alias tables as :meth:`publish_batch`
+        (:meth:`RowAliasSampler.sample_one`, the scalar form of the one
+        walk): no per-release noise sampling or clipping, and no
+        distributional drift between the scalar and batch paths — both
+        serve the kernel row, folded tail mass of Definition 4 included,
+        exactly.
         """
         if not isinstance(query, CountQuery):
             raise ValidationError(
@@ -176,11 +179,11 @@ class Publisher:
 
         The fast path for heavy traffic: evaluates every query exactly,
         then draws every release in one alias-table gather — O(1) work
-        per sample (one uniform, two lookups, one compare; see
-        :class:`repro.sampling.alias.RowAliasSampler`). Each row's table
-        encodes the range-restricted geometric distribution exactly, cap
-        outputs carrying the folded tail mass of Definition 4, so each
-        release is distributed identically to :meth:`publish`. With a
+        per sample (see :class:`repro.sampling.alias.RowAliasSampler`).
+        The walk serves each row's range-restricted geometric law
+        exactly, cap outputs carrying the folded tail mass of
+        Definition 4, so each release is distributed identically to
+        :meth:`publish`. With a
         seeded ``rng`` the batch is reproducible: the same seed and
         query batch yield identical releases.
 

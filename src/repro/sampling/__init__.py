@@ -4,19 +4,15 @@ Samplers for the noise distributions used by the library's mechanisms,
 plus seeding helpers. All samplers take an explicit
 :class:`numpy.random.Generator` so experiments are reproducible.
 
-Two sampling regimes coexist: the reference two-sided geometric sampler
-(:mod:`repro.sampling.geometric`, difference of two one-sided
-geometrics) and the O(1) precomputed alias tables of
-:mod:`repro.sampling.alias` that the batch publication hot path uses.
+Every release drawn from a kernel row — by the publisher, the server,
+:meth:`repro.core.mechanism.Mechanism.sample` or a multi-level chain —
+walks the exact alias tables of :mod:`repro.sampling.alias`, one draw
+rule in a vector and a scalar form. :mod:`repro.sampling.geometric`
+keeps Definition 1's law and the unbounded two-sided geometric sampler
+(difference of two one-sided geometrics), which has no finite row.
 """
 
-from .alias import (
-    AliasTable,
-    HeterogeneousAliasSampler,
-    RowAliasSampler,
-    cached_geometric_sampler,
-    clear_alias_cache,
-)
+from .alias import AliasTable, HeterogeneousAliasSampler, RowAliasSampler
 from .geometric import (
     sample_geometric_failures,
     sample_two_sided_geometric,
@@ -28,8 +24,6 @@ __all__ = [
     "AliasTable",
     "RowAliasSampler",
     "HeterogeneousAliasSampler",
-    "cached_geometric_sampler",
-    "clear_alias_cache",
     "ensure_generator",
     "sample_geometric_failures",
     "sample_two_sided_geometric",

@@ -1,22 +1,38 @@
-"""O(1) alias-table sampling over precomputed mechanism rows.
+"""Alias-table sampling: the one rule that draws every release.
 
 Walker/Vose alias tables turn sampling from an arbitrary finite
-distribution into two array lookups and one comparison per draw — no
-rejection, no per-draw CDF walk — which is what lets
-:meth:`repro.release.publisher.Publisher.publish_batch` run at line rate
-(see ``benchmarks/bench_sampling.py``).
+distribution into a few array lookups and one integer compare per draw
+— no per-draw CDF walk — which is what lets
+:meth:`repro.release.publisher.Publisher.publish_batch` and the server's
+fused gather run at line rate (see ``benchmarks/bench_sampling.py``).
+Every release the library makes from a kernel row is drawn here: the
+publisher, the server, :meth:`repro.core.mechanism.Mechanism.sample`
+and the chain steps of :class:`repro.core.multilevel.MultiLevelRelease`.
 
-The construction here is *exact*: given a row of Fraction probabilities
-(e.g. a row of the range-restricted geometric mechanism
-``G_{n,alpha}``, whose boundary columns already fold the unbounded
-two-sided-geometric tail mass into the cap outputs ``{0, n}``), the
-Vose small/large pairing is run entirely over ``Fraction``, so the cell
-thresholds are exact rationals and the table provably encodes the input
-pmf: :meth:`AliasTable.cell_probabilities` reconstructs it bit-for-bit.
-Only the final sampling arrays are float64. Float-regime rows build
-float tables directly (no exact thresholds to verify against).
+The construction is *exact*: given a row of Fraction probabilities (e.g.
+a row of the range-restricted geometric mechanism ``G_{n,alpha}``, whose
+boundary columns already fold the unbounded two-sided-geometric tail
+mass into the cap outputs ``{0, n}``), the Vose small/large pairing is
+run entirely over ``Fraction``, so the cell thresholds are exact
+rationals and :meth:`AliasTable.cell_probabilities` reconstructs the
+input pmf bit-for-bit. Float rows build float thresholds the same way.
 
-Three sampling granularities:
+The draw is exact too. ``Generator.random()`` returns ``k * 2**-53`` for
+a uniform integer ``k``. For a table of ``K`` cells let ``Q = 2**53 //
+K``; a ``k >= K*Q`` is drawn again, and otherwise the cell ``j = k % K``
+and ``q = k // K`` are independent and exactly uniform. With the cutoff
+``c_j = floor(t_j * Q)`` of the cell's threshold ``t_j``, ``q < c_j``
+accepts ``j`` and ``q > c_j`` takes its alias; the tie ``q == c_j``
+accepts with probability ``t_j * Q - c_j``, decided exactly from further
+64-bit words. So cell ``j`` accepts with probability exactly ``t_j`` (a
+float threshold counts as its exact binary value), and the walk serves
+:meth:`AliasTable.cell_probabilities` — for exact tables, the verified
+kernel row — with no rounding at all. Each table stores, once, every
+cell's tie point ``T_j = c_j * K + j``: comparing ``k`` with ``T_j`` is
+comparing ``q`` with ``c_j``, without computing ``q``.
+
+That rule has a vector form and a scalar form, shared by three
+granularities:
 
 * :class:`AliasTable` — one distribution;
 * :class:`RowAliasSampler` — all rows of one mechanism, stacked, with a
@@ -33,14 +49,18 @@ from fractions import Fraction
 import numpy as np
 
 from ..exceptions import ValidationError
+from ..validation import ATOL
 
-__all__ = [
-    "AliasTable",
-    "RowAliasSampler",
-    "HeterogeneousAliasSampler",
-    "cached_geometric_sampler",
-    "clear_alias_cache",
-]
+__all__ = ["AliasTable", "RowAliasSampler", "HeterogeneousAliasSampler"]
+
+#: ``Generator.random()`` is ``k * 2**-53`` with ``k`` uniform below this.
+_SPAN = 1 << 53
+_WORD = 1 << 64
+#: ``K * (2**53 // K) > 2**53 - K``, so a ``k`` below this lies within the
+#: limit of every table of up to ``2**32`` cells.
+_SAFE = _SPAN - (1 << 32)
+# The vector form's operands, made once rather than per call.
+_SPAN_F, _SAFE_I = float(_SPAN), np.int64(_SAFE)
 
 
 def _vose(probabilities):
@@ -77,6 +97,77 @@ def _vose(probabilities):
     return thresholds, alias
 
 
+def _frozen(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.int64)
+    array.setflags(write=False)
+    return array
+
+
+def _concat(parts) -> tuple:
+    """Flat ``(ties, alias, thresholds)`` cells of tables or arenas."""
+    ties, alias, thresholds = zip(*(part._cells for part in parts))
+    ties, alias = (_frozen(np.concatenate(a)) for a in (ties, alias))
+    return ties, alias, [t for row in thresholds for t in row]
+
+
+def _tie(threshold, quota: int, rng) -> bool:
+    """Accept a tie with probability ``t*Q - floor(t*Q)``, exactly.
+
+    A uniform real in ``[0, 1)``, read 64 bits at a time, is compared
+    with that remainder digit by digit in base ``2**64``; each word
+    settles the compare unless it equals the digit.
+    """
+    num, den = threshold.as_integer_ratio()
+    rest = num * quota % den
+    while rest:
+        digit, rest = divmod(rest * _WORD, den)
+        word = int(rng.integers(_WORD, dtype=np.uint64))
+        if word != digit:
+            return word < digit
+    return False
+
+
+def _walk(rng, count, sizes, base, ties, alias, thresholds):
+    """The vector form of the draw: ``count`` queries at once.
+
+    Query ``i`` walks the ``sizes[i]``-cell row starting at flat offset
+    ``base[i]`` of ``ties``/``alias``/``thresholds``; ``sizes`` and
+    ``base`` may be scalars shared by every query. Ties and uniforms
+    that may lie past their row's limit are rare, and go one by one.
+    """
+    if count == 1:  # one query: the scalar form, without array round trips
+        size, row = (int(np.ravel(x)[0]) for x in (sizes, base))
+        return np.array([_walk_one(rng, size, ties, alias, thresholds, row)])
+    k = (rng.random(count) * _SPAN_F).astype(np.int64)
+    cells = k % sizes
+    flat = base + cells
+    tie = ties[flat]
+    out = np.where(k < tie, cells, alias[flat])
+    for i in ((k == tie) | (k >= _SAFE_I)).nonzero()[0]:
+        size = int(np.broadcast_to(sizes, count)[i])
+        quota = _SPAN // size
+        if k[i] >= size * quota:
+            row = int(np.broadcast_to(base, count)[i])
+            out[i] = _walk_one(rng, size, ties, alias, thresholds, row)
+        elif k[i] == tie[i] and _tie(thresholds[flat[i]], quota, rng):
+            out[i] = cells[i]
+    return out
+
+
+def _walk_one(rng, size: int, ties, alias, thresholds, base=0) -> int:
+    """The scalar form of :func:`_walk`: one draw from the ``size``-cell
+    row at flat offset ``base``."""
+    quota = _SPAN // size
+    k = int(rng.random() * _SPAN)
+    while k >= size * quota:
+        k = int(rng.random() * _SPAN)
+    cell = k % size
+    tie = int(ties[base + cell])
+    if k < tie or (k == tie and _tie(thresholds[base + cell], quota, rng)):
+        return cell
+    return int(alias[base + cell])
+
+
 class AliasTable:
     """Alias table for one distribution over ``{0..K-1}``.
 
@@ -84,18 +175,17 @@ class AliasTable:
     ----------
     size:
         Number of outcomes ``K``.
-    prob:
-        Float64 acceptance thresholds per cell (read-only).
     alias:
         Int64 alias outcome per cell (read-only).
     exact_thresholds:
         Tuple of exact Fraction thresholds when built from exact
         probabilities, else ``None``. These are the verifiable content:
         :meth:`cell_probabilities` reconstructs the input pmf from them
-        bit-for-bit.
+        bit-for-bit, and the walk accepts each cell with exactly its
+        threshold's probability.
     """
 
-    __slots__ = ("size", "prob", "alias", "exact_thresholds")
+    __slots__ = ("size", "exact_thresholds", "_cells")
 
     def __init__(self, probabilities) -> None:
         probabilities = list(probabilities)
@@ -115,22 +205,27 @@ class AliasTable:
                     f"{sum(probabilities)}"
                 )
         else:
-            probabilities = [float(p) for p in probabilities]
-            if any(p < 0 for p in probabilities):
+            if any(float(p) < -ATOL for p in probabilities):
                 raise ValidationError("probabilities must be non-negative")
+            # A float kernel may hold entries down to -ATOL (its
+            # constructor accepts them): clip those to 0, renormalize.
+            probabilities = [max(float(p), 0.0) for p in probabilities]
             total = sum(probabilities)
             if not np.isclose(total, 1.0, atol=1e-9):
                 raise ValidationError(
                     f"probabilities must sum to 1, got {total}"
                 )
             probabilities = [p / total for p in probabilities]
-        thresholds, alias = _vose(probabilities)
-        self.size = len(probabilities)
-        self.exact_thresholds = tuple(thresholds) if exact else None
-        self.prob = np.array([float(t) for t in thresholds])
-        self.alias = np.array(alias, dtype=np.int64)
-        self.prob.setflags(write=False)
-        self.alias.setflags(write=False)
+        self._fill(*_vose(probabilities), exact)
+
+    def _fill(self, thresholds, alias, exact: bool) -> None:
+        self.size = len(thresholds)
+        thresholds = tuple(thresholds)
+        self.exact_thresholds = thresholds if exact else None
+        quota = _SPAN // self.size
+        ratios = enumerate(t.as_integer_ratio() for t in thresholds)
+        ties = [num * quota // den * self.size + j for j, (num, den) in ratios]
+        self._cells = (_frozen(ties), _frozen(alias), thresholds)
 
     @classmethod
     def from_parts(cls, thresholds, alias) -> "AliasTable":
@@ -155,15 +250,13 @@ class AliasTable:
             if not 0 <= int(a) < size:
                 raise ValidationError(f"alias {a} outside [0, {size})")
         table = cls.__new__(cls)
-        table.size = size
-        table.exact_thresholds = (
-            tuple(Fraction(t) for t in thresholds) if exact else None
-        )
-        table.prob = np.array([float(t) for t in thresholds])
-        table.alias = np.array([int(a) for a in alias], dtype=np.int64)
-        table.prob.setflags(write=False)
-        table.alias.setflags(write=False)
+        convert = Fraction if exact else float
+        table._fill([convert(t) for t in thresholds], alias, exact)
         return table
+
+    @property
+    def alias(self) -> np.ndarray:
+        return self._cells[1]
 
     def cell_probabilities(self) -> list:
         """Exact pmf encoded by the table (requires exact thresholds).
@@ -171,7 +264,8 @@ class AliasTable:
         ``p[j] = (q_j + sum_{k: alias[k]=j} (1 - q_k)) / K`` — every term
         a Fraction, so the result equals the construction input
         bit-for-bit. This is the integrity check ``repro cache verify``
-        replays against :func:`repro.sampling.geometric.two_sided_geometric_pmf`.
+        replays against :func:`repro.sampling.geometric.two_sided_geometric_pmf`,
+        and the law the walk serves.
         """
         if self.exact_thresholds is None:
             raise ValidationError(
@@ -187,31 +281,22 @@ class AliasTable:
         return [p / size for p in pmf]
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw outcomes: one uniform per draw, two lookups, one compare."""
-        count = 1 if size is None else int(size)
-        if count < 0:
-            raise ValidationError(f"size must be >= 0, got {size}")
-        scaled = rng.random(count) * self.size
-        # u < 1 guarantees u * K < K exactly, but the float product can
-        # round up to K; clamp so the cell index stays in range.
-        cells = np.minimum(scaled.astype(np.int64), self.size - 1)
-        accept = (scaled - cells) < self.prob[cells]
-        out = np.where(accept, cells, self.alias[cells])
+        """Draw one outcome (``size=None``) or an array of ``size``."""
         if size is None:
-            return int(out[0])
-        return out
+            return _walk_one(rng, self.size, *self._cells)
+        if int(size) < 0:
+            raise ValidationError(f"sample count must be >= 0, got {size}")
+        return _walk(rng, int(size), self.size, 0, *self._cells)
 
 
 class RowAliasSampler:
     """Stacked alias tables for every row of a row-stochastic matrix.
 
     One vectorized :meth:`sample` call draws outputs for a whole batch
-    of heterogeneous true results (rows): per draw it is a fused
-    multiply, two flat gathers, and a ``where`` — O(1) per sample with
-    no Python-level loop.
+    of heterogeneous true results (rows) with no Python-level loop.
     """
 
-    __slots__ = ("n", "size", "tables", "_flat_prob", "_flat_alias")
+    __slots__ = ("n", "size", "tables", "_cells")
 
     def __init__(self, tables) -> None:
         tables = list(tables)
@@ -228,10 +313,7 @@ class RowAliasSampler:
         self.tables = tuple(tables)
         self.size = size
         self.n = size - 1
-        self._flat_prob = np.concatenate([t.prob for t in tables])
-        self._flat_alias = np.concatenate([t.alias for t in tables])
-        self._flat_prob.setflags(write=False)
-        self._flat_alias.setflags(write=False)
+        self._cells = _concat(tables)
 
     @classmethod
     def from_matrix(cls, matrix) -> "RowAliasSampler":
@@ -256,29 +338,19 @@ class RowAliasSampler:
             raise ValidationError(
                 f"true results must lie in [0, {self.n}]"
             )
-        scaled = rng.random(rows.size) * self.size
-        cells = np.minimum(scaled.astype(np.int64), self.size - 1)
-        flat = rows * self.size + cells
-        accept = (scaled - cells) < self._flat_prob[flat]
-        return np.where(accept, cells, self._flat_alias[flat])
+        return _walk(rng, rows.size, self.size, rows * self.size, *self._cells)
 
     def sample_one(self, row: int, rng: np.random.Generator) -> int:
         """Draw one output for one true result, without array round-trips.
 
         The scalar hot path (:meth:`repro.release.publisher.Publisher.publish`):
-        one uniform, two flat lookups, one compare — the same table walk
-        as :meth:`sample`, so scalar and batched draws share one
-        distribution law.
+        the scalar form of the walk :meth:`sample` runs, so scalar and
+        batched draws share one distribution law.
         """
         row = int(row)
         if not 0 <= row <= self.n:
             raise ValidationError(f"true results must lie in [0, {self.n}]")
-        scaled = rng.random() * self.size
-        cell = min(int(scaled), self.size - 1)
-        flat = row * self.size + cell
-        if (scaled - cell) < self._flat_prob[flat]:
-            return cell
-        return int(self._flat_alias[flat])
+        return self.tables[row].sample(rng)
 
     def is_exact(self) -> bool:
         """Whether every row table carries exact thresholds."""
@@ -294,7 +366,7 @@ class HeterogeneousAliasSampler:
     size vector, so tables of different widths coexist without padding.
     """
 
-    __slots__ = ("samplers", "_offsets", "_sizes", "_flat_prob", "_flat_alias")
+    __slots__ = ("samplers", "_offsets", "_sizes", "_cells")
 
     def __init__(self, samplers) -> None:
         samplers = list(samplers)
@@ -302,14 +374,9 @@ class HeterogeneousAliasSampler:
             raise ValidationError("need at least one sampler")
         self.samplers = tuple(samplers)
         self._sizes = np.array([s.size for s in samplers], dtype=np.int64)
-        lengths = np.array(
-            [s._flat_prob.size for s in samplers], dtype=np.int64
-        )
+        lengths = [s._cells[0].size for s in samplers]
         self._offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        self._flat_prob = np.concatenate([s._flat_prob for s in samplers])
-        self._flat_alias = np.concatenate([s._flat_alias for s in samplers])
-        self._flat_prob.setflags(write=False)
-        self._flat_alias.setflags(write=False)
+        self._cells = _concat(samplers)
 
     def sample(self, table_indices, rows, rng: np.random.Generator):
         """One output per ``(table_indices[q], rows[q])`` query."""
@@ -328,45 +395,5 @@ class HeterogeneousAliasSampler:
         sizes = self._sizes[table_indices]
         if rows.min() < 0 or (rows >= sizes).any():
             raise ValidationError("true result out of range for its table")
-        scaled = rng.random(rows.size) * sizes
-        cells = np.minimum(scaled.astype(np.int64), sizes - 1)
-        flat = self._offsets[table_indices] + rows * sizes + cells
-        accept = (scaled - cells) < self._flat_prob[flat]
-        return np.where(accept, cells, self._flat_alias[flat])
-
-
-#: Bounded memo of geometric-row samplers, keyed ``(n, alpha, regime)``;
-#: eviction is insertion-ordered, matching
-#: :func:`repro.losses.base.cached_loss_matrix`'s policy.
-_SAMPLER_CACHE: dict = {}
-_SAMPLER_CACHE_ENTRIES = 64
-
-
-def clear_alias_cache() -> None:
-    """Drop memoized samplers (see :func:`repro.clear_caches`)."""
-    _SAMPLER_CACHE.clear()
-
-
-def cached_geometric_sampler(n: int, alpha) -> RowAliasSampler:
-    """Memoized alias sampler for the rows of ``G_{n,alpha}``.
-
-    Exact ``alpha`` (Fraction/int) builds exact thresholds straight from
-    the exact :func:`repro.core.geometric.geometric_matrix` rows — the
-    tables a :class:`~repro.release.artifacts.MechanismArtifact` carries
-    and ``repro cache verify`` replays. Float ``alpha`` builds float
-    tables. Unhashable alphas fall back to a fresh uncached build.
-    """
-    from ..core.geometric import geometric_matrix  # deferred: avoids cycle
-
-    exact = isinstance(alpha, (Fraction, int)) and not isinstance(alpha, bool)
-    key = (int(n), alpha, exact)
-    try:
-        sampler = _SAMPLER_CACHE.get(key)
-    except TypeError:
-        return RowAliasSampler.from_matrix(geometric_matrix(n, alpha))
-    if sampler is None:
-        sampler = RowAliasSampler.from_matrix(geometric_matrix(n, alpha))
-        if len(_SAMPLER_CACHE) >= _SAMPLER_CACHE_ENTRIES:
-            _SAMPLER_CACHE.pop(next(iter(_SAMPLER_CACHE)))
-        _SAMPLER_CACHE[key] = sampler
-    return sampler
+        base = self._offsets[table_indices] + rows * sizes
+        return _walk(rng, rows.size, sizes, base, *self._cells)

@@ -528,8 +528,12 @@ class MechanismServer:
             near_floor, top_burners = book.burn_summary()
             for k, count in near_floor.items():
                 obs.users_near_floor.labels(str(k)).set(count)
+            # Exactly the current top burners: a user who left the top
+            # loses its series instead of keeping a stale value.
+            spent_gauge = obs.user_spent_fraction
+            spent_gauge.retain((user,) for user, _ in top_burners)
             for user, spent in top_burners:
-                obs.user_spent_fraction.labels(user).set(spent)
+                spent_gauge.labels(user).set(spent)
         except Exception:  # noqa: BLE001 - scrapes must stay available
             pass
 

@@ -97,6 +97,10 @@ class TestAuditPipeline:
 
         db = flu_population(8, 5)
         publisher = Publisher(db, Fraction(1, 2))
-        report = empirical_alpha(publisher.mechanism, 20000, rng)
+        # The estimate is a minimum over ratios of corner cells of mass
+        # ~0.0026. At 20,000 draws per input those hold ~50 counts and
+        # about half of all seeds land below 0.4 on an exact sampler;
+        # at 400,000 none of 40 seeds went below 0.45.
+        report = empirical_alpha(publisher.mechanism, 400_000, rng)
         assert report.consistent
         assert report.exact_alpha == Fraction(1, 2)

@@ -5,17 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import repro
-from repro.core.geometric import geometric_matrix
+from repro.core.geometric import cached_geometric_mechanism, geometric_matrix
 from repro.exceptions import ValidationError
 from repro.sampling.alias import (
-    _SAMPLER_CACHE,
-    _SAMPLER_CACHE_ENTRIES,
     AliasTable,
     HeterogeneousAliasSampler,
     RowAliasSampler,
-    cached_geometric_sampler,
-    clear_alias_cache,
 )
 from repro.sampling.geometric import two_sided_geometric_pmf
 
@@ -199,8 +194,8 @@ class TestHeterogeneousSampler:
     def _fused(self):
         return HeterogeneousAliasSampler(
             [
-                cached_geometric_sampler(3, Fraction(1, 3)),
-                cached_geometric_sampler(8, Fraction(1, 2)),
+                cached_geometric_mechanism(3, Fraction(1, 3)).sampler(),
+                cached_geometric_mechanism(8, Fraction(1, 2)).sampler(),
             ]
         )
 
@@ -251,31 +246,3 @@ class TestHeterogeneousSampler:
         with pytest.raises(ValidationError):
             HeterogeneousAliasSampler([])
 
-
-class TestSamplerCache:
-    def setup_method(self):
-        clear_alias_cache()
-
-    def teardown_method(self):
-        clear_alias_cache()
-
-    def test_memoizes_per_key(self):
-        a = cached_geometric_sampler(4, Fraction(1, 3))
-        b = cached_geometric_sampler(4, Fraction(1, 3))
-        c = cached_geometric_sampler(4, 1 / 3)
-        assert a is b
-        assert c is not a
-        assert a.is_exact() and not c.is_exact()
-
-    def test_bounded_eviction_is_insertion_ordered(self):
-        first = cached_geometric_sampler(2, Fraction(1, 3))
-        for k in range(_SAMPLER_CACHE_ENTRIES):
-            cached_geometric_sampler(2, Fraction(1, k + 4))
-        assert len(_SAMPLER_CACHE) == _SAMPLER_CACHE_ENTRIES
-        assert cached_geometric_sampler(2, Fraction(1, 3)) is not first
-
-    def test_clear_caches_clears_alias_memo(self):
-        cached_geometric_sampler(3, Fraction(1, 2))
-        assert _SAMPLER_CACHE
-        repro.clear_caches()
-        assert not _SAMPLER_CACHE

@@ -391,6 +391,41 @@ class TestTraceAndBurnRoutes:
         # u0 ends one charge from the floor, u1 and u2 two.
         assert seen[-1][0][0] == {1: 1.0, 2: 3.0, 4: 3.0, 8: 5.0}
 
+    def test_users_who_leave_the_top_lose_their_series(self, store):
+        """Three waves of 10 new users, each wave charged more than the
+        last, one Prometheus scrape after each: the spent-fraction family
+        holds exactly the current top 10, not every user ever in it."""
+        server = make_server(store, floor=Fraction(1, 2**20))
+        client = InProcessClient(server)
+        family = server.telemetry.user_spent_fraction
+
+        async def go():
+            seen = []
+            for wave in range(3):
+                for i in range(10):
+                    for _ in range(wave + 1):
+                        await client.publish(
+                            **publish_payload(user=f"w{wave}u{i}")
+                        )
+                _, body = await server.handle_request(
+                    "GET", "/metrics?format=prometheus"
+                )
+                seen.append((
+                    {values[0]: c.value for values, c in family.children()},
+                    set(re.findall(
+                        r'repro_user_spent_fraction\{user="(\w+)"\}',
+                        body["__raw__"],
+                    )),
+                    dict(server.ledgers.burn_summary()[1]),
+                ))
+            await server.stop()
+            return seen
+
+        for wave, (series, scraped, top) in enumerate(run(go())):
+            assert len(series) <= 10
+            assert series == top
+            assert scraped == set(top) == {f"w{wave}u{i}" for i in range(10)}
+
     def test_deep_budgets_do_not_blind_later_gauges(self, store):
         """A budget whose float underflows to 0.0 used to raise inside
         the collector and silently freeze every gauge after the burn

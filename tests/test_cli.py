@@ -559,6 +559,16 @@ class TestObsAndLedgerCommands:
         assert main(["obs", "tail", "--trace-dir", str(tmp_path)]) == 1
         assert "no trace log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source", [["top", "--ledger-dir"], ["tail", "--trace-dir"]]
+    )
+    def test_obs_negative_limit_exits_2(self, capsys, tmp_path, source):
+        """A negative limit used to slice rows off without a word."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", *source, str(tmp_path), "--limit", "-1"])
+        assert exit_info.value.code == 2
+        assert "limit must be >= 0, got -1" in capsys.readouterr().err
+
     def test_obs_against_live_server(self, capsys, tmp_path):
         """top/tail/export over real HTTP against a serving process."""
         import asyncio
