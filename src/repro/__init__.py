@@ -116,10 +116,9 @@ def clear_caches() -> None:
     Long-lived serving processes call this for memory hygiene: it clears
     the memoized loss tables, the shared LP constraint blocks, the
     geometric-mechanism (with their alias tables) and ``G'``-inverse
-    caches, the in-memory tier of every live artifact store,
-    and the in-memory tier of the default persistent solve cache.
-    On-disk solve-cache and artifact entries are untouched (they are
-    content-addressed and never stale).
+    caches, and the in-memory tier of every live solve cache and
+    artifact store. On-disk solve-cache and artifact entries are
+    untouched (they are content-addressed and never stale).
     """
     from .core.geometric import (
         _cached_geometric_mechanism,
@@ -127,17 +126,13 @@ def clear_caches() -> None:
     )
     from .core.optimal import _shared_constraint_blocks
     from .losses import clear_loss_table_cache
-    from .release.artifacts import clear_artifact_memory
-    from .solvers.cache import default_cache
+    from .storage import clear_store_memory
 
     _cached_geometric_mechanism.cache_clear()
     _gprime_inverse_cached.cache_clear()
     _shared_constraint_blocks.cache_clear()
     clear_loss_table_cache()
-    clear_artifact_memory()
-    default = default_cache()
-    if default is not None:
-        default.clear_memory()
+    clear_store_memory()
 
 __all__ = [
     "__version__",

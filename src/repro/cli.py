@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument("-n", type=int, required=True)
     audit.add_argument("--alpha", type=_parse_alpha, required=True)
-    audit.add_argument("--samples", type=int, default=20000)
+    audit.add_argument("--samples", type=int, default=400_000)
     audit.add_argument("--seed", type=int, default=None)
 
     tradeoff = sub.add_parser(
@@ -876,7 +876,13 @@ def _cmd_serve(args) -> str:
 
 
 def _cmd_ledger(args) -> str:
-    from .release.durable_ledger import DurableLedger, verify_ledger_dir
+    from pathlib import Path
+
+    from .release.durable_ledger import (
+        DurableLedger,
+        replay_ledger_dir,
+        verify_ledger_dir,
+    )
 
     ledger_dir = _resolve_ledger_dir(args.ledger_dir)
     if ledger_dir is None:
@@ -904,46 +910,48 @@ def _cmd_ledger(args) -> str:
         if not report["ok"]:
             raise ReproError("\n".join(lines))
         return "\n".join(lines)
-    ledger = DurableLedger(ledger_dir)
-    try:
-        if args.ledger_command == "compact":
+    if args.ledger_command == "compact":
+        replay_ledger_dir(ledger_dir)  # refuses a path with no ledger
+        ledger = DurableLedger(ledger_dir)
+        try:
             result = ledger.compact()
-            return (
-                f"compacted {ledger.path}: journal "
-                f"{result['journal_bytes_before']} -> "
-                f"{result['journal_bytes_after']} bytes "
-                f"(snapshot seq {result['snapshot_seq']}, "
-                f"{result['users']} users)"
-            )
-        stats = ledger.stats()
-        lines = [
-            f"ledger {stats['path']}: floor={ledger.floor} "
-            f"seq={stats['seq']} journal_bytes={stats['journal_bytes']} "
-            f"replay_entries={stats['replay_entries']}",
-        ]
-        from .obs.budget import burn_row
+        finally:
+            ledger.close()
+        return (
+            f"compacted {ledger.path}: journal "
+            f"{result['journal_bytes_before']} -> "
+            f"{result['journal_bytes_after']} bytes "
+            f"(snapshot seq {result['snapshot_seq']}, "
+            f"{result['users']} users)"
+        )
+    found: dict = {}
+    book = replay_ledger_dir(ledger_dir, found)
+    lines = [
+        f"ledger {Path(ledger_dir).expanduser()}: floor={book.floor} "
+        f"seq={found['seq']} journal_bytes={found['journal_bytes']} "
+        f"replay_entries={book.stats()['replay_entries']}",
+    ]
+    from .obs.budget import burn_row
 
-        budgets = sorted(ledger.budgets(), key=lambda budget: budget.user)
-        for budget in budgets:
-            row = burn_row(budget)
-            left = (
-                "inf"
-                if row.remaining_charges is None
-                else row.remaining_charges
-            )
-            lines.append(
-                f"  {budget.user}: releases={budget.releases} "
-                f"cumulative={budget.cumulative_alpha} "
-                f"(epsilon={budget.cumulative_epsilon:.4f}) "
-                f"remaining={budget.remaining_alpha} "
-                f"spent={row.spent_fraction * 100:.1f}% "
-                f"charges_left={left}"
-            )
-        if not budgets:
-            lines.append("  (no releases recorded)")
-        return "\n".join(lines)
-    finally:
-        ledger.close()
+    budgets = sorted(book.budgets(), key=lambda budget: budget.user)
+    for budget in budgets:
+        row = burn_row(budget)
+        left = (
+            "inf"
+            if row.remaining_charges is None
+            else row.remaining_charges
+        )
+        lines.append(
+            f"  {budget.user}: releases={budget.releases} "
+            f"cumulative={budget.cumulative_alpha} "
+            f"(epsilon={budget.cumulative_epsilon:.4f}) "
+            f"remaining={budget.remaining_alpha} "
+            f"spent={row.spent_fraction * 100:.1f}% "
+            f"charges_left={left}"
+        )
+    if not budgets:
+        lines.append("  (no releases recorded)")
+    return "\n".join(lines)
 
 
 def _cmd_obs(args) -> str:

@@ -22,7 +22,7 @@ ledger accepts.
 Sources: a live ledger book (:func:`burn_rows_from_book`, one
 consistent read of every user's budget, behind ``GET /obs/burn``) or a
 ledger directory at rest (:func:`burn_rows_from_dir`, used by ``repro
-ledger show`` and ``repro obs top`` — recovery replays the WAL, so the
+obs top`` — the read-only replay a reopening server performs, so the
 rows reflect exactly what a restarted server would enforce). These are
 operator drill-downs that walk every user. The metrics scrape does not:
 the book keeps the two aggregates it publishes (the floor-proximity
@@ -249,14 +249,11 @@ def burn_rows_from_book(book) -> list:
 
 
 def burn_rows_from_dir(path) -> list:
-    """Burn rows recovered from a ledger directory's snapshot + WAL."""
-    from ..release.durable_ledger import DurableLedger
+    """Burn rows of a ledger directory at rest, read without changing
+    it (see :func:`repro.release.durable_ledger.replay_ledger_dir`)."""
+    from ..release.durable_ledger import replay_ledger_dir
 
-    ledger = DurableLedger(path, fsync="off")
-    try:
-        return burn_rows_from_book(ledger)
-    finally:
-        ledger.close()
+    return burn_rows_from_book(replay_ledger_dir(path))
 
 
 def floor_proximity(rows, ks=NEAR_FLOOR) -> dict:

@@ -6,8 +6,8 @@ Each command reads from one of two sources:
   its observability routes (``/obs/burn``, ``/trace/recent``,
   ``/metrics``), fetched with stdlib :mod:`urllib`;
 * at-rest artifacts — a ``--ledger-dir`` WAL directory (``top``: the
-  same recovery a restarting server performs) or a ``--trace-dir``
-  JSONL span log (``tail``).
+  replay a restarting server performs, read-only; a path with no
+  ledger is refused) or a ``--trace-dir`` JSONL span log (``tail``).
 
 Kept apart from :mod:`repro.cli` so the argparse layer stays a thin
 dispatcher and these helpers are unit-testable without a process.

@@ -25,10 +25,11 @@ by the SHA-256 of the canonical spec (so consumers look up by
 digest of its own canonical content, so corruption and tampering are
 detected on load and by ``repro cache verify``. Serialization uses the
 same lossless regime-tagged number codec as
-:class:`repro.solvers.cache.SolveCache` (``Fraction`` as ``p/q``),
-writes are atomic ``os.replace``, and a bounded in-memory layer (same
-insertion-ordered eviction policy as
-:func:`repro.losses.base.cached_loss_matrix`) sits above the directory.
+:class:`repro.solvers.cache.SolveCache` (``Fraction`` as ``p/q``), and
+:class:`ArtifactStore` is the same store class as the solve cache
+(:class:`repro.storage.DirectoryStore`): atomic durable writes and a
+bounded in-memory layer above the directory. An entry filed under any
+key but its own spec's neither loads nor verifies.
 
 Lifecycle (see ``repro compile`` / ``repro cache verify`` /
 ``repro cache gc`` in :mod:`repro.cli`)::
@@ -46,10 +47,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
-import tempfile
 import time
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -66,8 +64,9 @@ from ..losses import AbsoluteLoss, SquaredLoss, ZeroOneLoss
 from ..losses.base import cached_loss_matrix
 from ..sampling.alias import AliasTable, RowAliasSampler
 from ..sampling.geometric import two_sided_geometric_pmf
-from ..solvers.cache import decode_number, encode_number, gc_directory
+from ..solvers.cache import decode_number, encode_number
 from ..solvers.hybrid import find_certificate, replay_certificate
+from ..storage import DirectoryStore
 from ..validation import as_fraction, check_alpha, check_result_range
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "default_artifact_store",
     "set_default_artifact_store",
     "resolve_artifact_store",
-    "clear_artifact_memory",
 ]
 
 #: Bump when the payload shape changes; readers reject other versions.
@@ -92,10 +90,6 @@ ARTIFACT_FORMAT_VERSION = 1
 
 #: Environment variable enabling the process-wide default store.
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
-
-#: Artifacts kept in each store's in-memory layer (they are O(n^2)
-#: objects each, so the bound is tighter than SolveCache's).
-_MEMORY_ENTRIES = 32
 
 #: Named losses an artifact spec may reference. Artifacts must be
 #: rebuildable from their spec alone, so only registry losses — not
@@ -633,25 +627,17 @@ def _advisory_lock(path: Path):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-#: Every live store, so :func:`repro.clear_caches` can drop all
-#: in-memory artifact layers without holding stores alive.
-_LIVE_STORES: "weakref.WeakSet[ArtifactStore]" = weakref.WeakSet()
-
-
-def clear_artifact_memory() -> None:
-    """Drop the in-memory layer of every live :class:`ArtifactStore`."""
-    for store in list(_LIVE_STORES):
-        store.clear_memory()
-
-
-class ArtifactStore:
+class ArtifactStore(DirectoryStore):
     """Directory-backed, spec-addressed store of compiled artifacts.
 
-    Mirrors :class:`repro.solvers.cache.SolveCache`: two-level fan-out
-    on the spec key, atomic writes, a bounded in-memory layer, and
-    ``stats`` counters. Loading validates version and content digest;
-    damaged entries behave as misses on :meth:`get` and are reported by
-    :meth:`verify_all`.
+    A :class:`repro.storage.DirectoryStore`, like
+    :class:`repro.solvers.cache.SolveCache`: two-level fan-out on the
+    spec key, atomic durable writes, a bounded in-memory layer, and
+    ``stats`` counters. One decode rule serves :meth:`get`,
+    :meth:`get_or_compile`, :meth:`load_key` and :meth:`verify_all`: it
+    checks the format version, the content digest, and that the entry is
+    filed under its own spec's key. A damaged or misfiled entry is a
+    miss on every read and a failure in :meth:`verify_all`.
 
     Writes and GC take a store-wide advisory file lock (:meth:`lock`),
     and :meth:`get_or_compile` holds a per-spec lock across its
@@ -663,45 +649,46 @@ class ArtifactStore:
     entry, the new complete entry, or a miss.
     """
 
-    def __init__(self, path) -> None:
-        self.path = Path(path).expanduser()
-        self._memory: dict[str, MechanismArtifact] = {}
-        self.stats = {"hits": 0, "misses": 0, "stores": 0, "compiles": 0}
-        _LIVE_STORES.add(self)
+    env = ARTIFACT_DIR_ENV
+    #: Artifacts are O(n^2) objects each, so the bound is tighter than
+    #: SolveCache's.
+    memory_entries = 32
+    metric = (
+        "repro_artifact_store_total",
+        "Artifact-store operations, by op.",
+        "op",
+    )
+    stat_names = ("hits", "misses", "stores", "compiles")
 
-    def _entry_path(self, key: str) -> Path:
-        return self.path / key[:2] / f"{key}.json"
+    def decode(self, payload, key: str) -> MechanismArtifact:
+        artifact = MechanismArtifact.from_payload(payload)
+        if artifact.key() != key:
+            err = ValidationError("entry filed under a foreign spec key")
+            err.kind = artifact.spec.kind
+            raise err
+        return artifact
 
-    @staticmethod
-    def _count(op: str) -> None:
-        # Mirror the per-instance stats into the process-default
-        # registry so a serving scrape covers artifact-store behaviour.
-        from ..obs.metrics import default_registry
+    def load_key(self, key: str) -> MechanismArtifact | None:
+        """Load the entry stored under ``key``; ``None`` if missing,
+        damaged or misfiled.
 
-        default_registry().counter(
-            "repro_artifact_store_total",
-            "Artifact-store operations, by op.",
-            labels=("op",),
-        ).labels(op).inc()
+        Unlike :meth:`get` this needs no spec — the serving layer's
+        load-everything startup path iterates :meth:`keys` with it.
+        """
+        t0 = time.perf_counter()
+        artifact = super().load_key(key)
+        if artifact is not None:
+            _observe_seconds(
+                "repro_artifact_load_seconds",
+                "On-disk artifact load + decode time.",
+                time.perf_counter() - t0,
+            )
+        return artifact
 
     # -- lookup --------------------------------------------------------
     def get(self, spec: ArtifactSpec) -> MechanismArtifact | None:
         """Return the stored artifact for ``spec``, or ``None``."""
-        key = spec.key()
-        artifact = self._memory.get(key)
-        if artifact is None:
-            artifact = self._load(key)
-            if artifact is not None and artifact.spec != spec:
-                artifact = None  # key collision or tampered spec
-            if artifact is not None:
-                self._remember(key, artifact)
-        if artifact is None:
-            self.stats["misses"] += 1
-            self._count("miss")
-            return None
-        self.stats["hits"] += 1
-        self._count("hit")
-        return artifact
+        return self._lookup(spec.key())
 
     def get_or_compile(
         self, spec: ArtifactSpec, *, solve_cache=None
@@ -717,9 +704,7 @@ class ArtifactStore:
         if artifact is None:
             key = spec.key()
             with self.lock(key):
-                artifact = self._load(key)
-                if artifact is not None and artifact.spec != spec:
-                    artifact = None
+                artifact = self.load_key(key)
                 if artifact is not None:
                     self._remember(key, artifact)
                 else:
@@ -732,8 +717,7 @@ class ArtifactStore:
                         solve_cache=solve_cache,
                     )
                     self.put(artifact)
-                    self.stats["compiles"] += 1
-                    self._count("compile")
+                    self._count("compiles")
         return artifact
 
     # -- locking -------------------------------------------------------
@@ -749,96 +733,38 @@ class ArtifactStore:
 
     # -- store ---------------------------------------------------------
     def put(self, artifact: MechanismArtifact) -> None:
-        """Persist ``artifact`` (atomic replace, under the store lock)."""
-        key = artifact.key()
+        """Persist ``artifact`` (atomic and durable, under the store
+        lock): a crash right after ``put`` returns never leaves a
+        truncated artifact where load-time verification expects a
+        complete one."""
         payload = artifact.to_payload()
-        entry = self._entry_path(key)
         with self.lock():
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                mode="w",
-                dir=entry.parent,
-                prefix=f".{key[:8]}-",
-                suffix=".tmp",
-                delete=False,
-            )
-            try:
-                with handle:
-                    json.dump(payload, handle)
-                    # Durable before visible: fsync the bytes, replace,
-                    # then fsync the directory entry — a crash right
-                    # after `put` returns must never leave a truncated
-                    # artifact where load-time verification expected a
-                    # complete one.
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(handle.name, entry)
-                try:
-                    fd = os.open(entry.parent, os.O_RDONLY)
-                except OSError:  # pragma: no cover - platform-dependent
-                    fd = -1
-                if fd >= 0:
-                    try:
-                        os.fsync(fd)
-                    finally:
-                        os.close(fd)
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
-        self._remember(key, artifact)
-        self.stats["stores"] += 1
-        self._count("store")
+            self._write(artifact.key(), artifact, payload)
 
     # -- maintenance ---------------------------------------------------
-    def keys(self) -> list[str]:
-        """Spec keys of every entry on disk (sorted)."""
-        if not self.path.is_dir():
-            return []
-        return sorted(entry.stem for entry in self.path.rglob("*.json"))
-
-    def load_key(self, key: str) -> MechanismArtifact | None:
-        """Load the entry stored under ``key``; ``None`` if missing/damaged.
-
-        Unlike :meth:`get` this needs no spec — the serving layer's
-        load-everything startup path iterates :meth:`keys` with it.
-        """
-        return self._load(key)
-
     def verify_all(self) -> list[ArtifactVerification]:
         """Replay proofs for every on-disk entry (zero LP solves).
 
-        Structurally damaged entries (unparseable JSON, bad digest,
-        unsupported version) are reported as failed verifications
-        rather than skipped.
+        Entries the decode rule refuses (unparseable JSON, bad digest,
+        unsupported version, a foreign spec key) are reported as failed
+        verifications rather than skipped.
         """
         reports = []
         for key in self.keys():
-            entry = self._entry_path(key)
             try:
-                payload = json.loads(entry.read_text())
-                artifact = MechanismArtifact.from_payload(payload)
-            except (OSError, ValueError, ValidationError) as err:
+                artifact = self.read(key)
+            except (OSError, ValueError) as err:
+                # A misfiled entry decodes, so its report names its kind.
+                kind = getattr(err, "kind", None)
                 reports.append(
                     ArtifactVerification(
                         key=key,
-                        kind="?",
+                        kind=kind or "?",
                         ok=False,
                         checks=("load",),
-                        failures=(f"load failed: {err}",),
-                    )
-                )
-                continue
-            if artifact.key() != key:
-                reports.append(
-                    ArtifactVerification(
-                        key=key,
-                        kind=artifact.spec.kind,
-                        ok=False,
-                        checks=("load",),
-                        failures=("entry filed under a foreign spec key",),
+                        failures=(
+                            str(err) if kind else f"load failed: {err}",
+                        ),
                     )
                 )
                 continue
@@ -851,80 +777,17 @@ class ArtifactStore:
         max_entries: int | None = None,
         max_age_days: float | None = None,
     ) -> int:
-        """Evict on-disk artifacts (see :func:`repro.solvers.cache.gc_directory`).
+        """Evict on-disk artifacts (see :func:`repro.storage.gc_directory`).
 
         Holds the store-wide advisory lock so eviction never interleaves
         with a concurrent worker's :meth:`put`.
         """
         with self.lock():
-            removed = gc_directory(
-                self.path, max_entries=max_entries, max_age_days=max_age_days
+            return super().gc(
+                max_entries=max_entries, max_age_days=max_age_days
             )
-        self._memory.clear()
-        return removed
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (the directory is untouched)."""
-        self._memory.clear()
-
-    # -- internals -----------------------------------------------------
-    def _load(self, key: str) -> MechanismArtifact | None:
-        entry = self._entry_path(key)
-        t0 = time.perf_counter()
-        try:
-            payload = json.loads(entry.read_text())
-            artifact = MechanismArtifact.from_payload(payload)
-        except (OSError, ValueError, ValidationError):
-            return None
-        _observe_seconds(
-            "repro_artifact_load_seconds",
-            "On-disk artifact load + decode time.",
-            time.perf_counter() - t0,
-        )
-        return artifact
-
-    def _remember(self, key: str, artifact: MechanismArtifact) -> None:
-        if len(self._memory) >= _MEMORY_ENTRIES:
-            self._memory.pop(next(iter(self._memory)))
-        self._memory[key] = artifact
-
-    def __repr__(self) -> str:
-        return (
-            f"<ArtifactStore {str(self.path)!r} "
-            f"hits={self.stats['hits']} misses={self.stats['misses']} "
-            f"stores={self.stats['stores']}>"
-        )
 
 
-#: Module default: unresolved sentinel until first use.
-_UNSET = object()
-_default_store = _UNSET
-
-
-def default_artifact_store() -> ArtifactStore | None:
-    """The process-wide default store (``REPRO_ARTIFACT_DIR``), or ``None``."""
-    global _default_store
-    if _default_store is _UNSET:
-        directory = os.environ.get(ARTIFACT_DIR_ENV)
-        _default_store = ArtifactStore(directory) if directory else None
-    return _default_store
-
-
-def set_default_artifact_store(store) -> None:
-    """Install a process-wide default store (``None`` disables)."""
-    global _default_store
-    if store is None or isinstance(store, ArtifactStore):
-        _default_store = store
-    else:
-        _default_store = ArtifactStore(store)
-
-
-def resolve_artifact_store(store) -> ArtifactStore | None:
-    """Normalize a ``store=`` argument (mirrors ``resolve_cache``)."""
-    if store is None:
-        return default_artifact_store()
-    if store is False:
-        return None
-    if isinstance(store, ArtifactStore):
-        return store
-    return ArtifactStore(store)
+default_artifact_store = ArtifactStore.default
+set_default_artifact_store = ArtifactStore.set_default
+resolve_artifact_store = ArtifactStore.resolve

@@ -92,7 +92,7 @@ class AuditReport:
 
 def empirical_alpha(
     mechanism: Mechanism,
-    samples_per_input: int = 20000,
+    samples_per_input: int = 400_000,
     rng=None,
     *,
     smoothing: float = 0.5,
@@ -101,7 +101,12 @@ def empirical_alpha(
     """Audit a mechanism's privacy level empirically.
 
     ``consistent`` is true when the empirical estimate lies within
-    ``slack`` of the exact tightest alpha computed from the matrix.
+    ``slack`` of the exact tightest alpha computed from the matrix. The
+    estimate is a minimum of ratios of cell frequencies, biased low
+    when the kernel's smallest cells receive few draws, so the flag
+    means something only when those cells get enough: at 20,000 draws
+    per input, G(8, 1/2) read inconsistent for 9 of seeds 0-19; at the
+    default 400,000 for none of them.
     """
     estimated = empirical_mechanism_matrix(
         mechanism, samples_per_input, rng, smoothing=smoothing

@@ -30,16 +30,22 @@ book nobody scrapes never builds them and pays nothing.
   :meth:`DurableLedger.sync` so a serving tick can amortize one fsync
   across a whole micro-batch (group commit) while keeping the same
   release-implies-durable invariant.
-* **Conservative recovery** — on open, the snapshot is loaded and the
-  journal replayed. A torn or corrupt *tail* (a crash mid-append) is
-  truncated: an un-fsync'd charge was never acknowledged, so no response
-  was released against it and dropping it is floor-legal. A record that
-  parses and checksums, however, is **always kept**, even when the crash
-  means we cannot know whether the response went out — ambiguity
-  over-protects, never over-spends. Corruption *before* valid records
-  (a damaged middle) is refused loudly with
-  :class:`LedgerCorruptionError`, because skipping it would drop
-  admitted charges.
+* **Conservative recovery** — one replay reads a ledger directory: the
+  snapshot, then every journal record past it, each applied by the
+  book's one apply rule, which refuses a charge whose ``cum`` is not
+  the running product of the user's alphas. The book's open, its
+  catch-up on siblings' appends, the WAL breaker's recovery,
+  :func:`verify_ledger_dir` and the at-rest reads all go through it. A
+  torn or corrupt *tail* (a crash mid-append) is truncated on open: an
+  un-fsync'd charge was never acknowledged, so no response was released
+  against it and dropping it is floor-legal. A record that parses and
+  checksums, however, is **always kept**, even when the crash means we
+  cannot know whether the response went out — ambiguity over-protects,
+  never over-spends. Corruption *before* valid records (a damaged
+  middle), a sequence gap, a contradicting ``cum`` and a snapshot or
+  ``meta.json`` of another format version are refused loudly with
+  :class:`LedgerCorruptionError`, because skipping them would drop or
+  misstate admitted charges.
 * **Snapshot + compaction** — :meth:`DurableLedger.compact` atomically
   writes ``snapshot.json`` (checksummed; cumulative guarantee and
   release count per user, plus the idempotency replay cache) and then
@@ -52,7 +58,12 @@ book nobody scrapes never builds them and pays nothing.
 * **Multi-process sharing** — every mutation holds an advisory
   ``flock`` on ``ledger.lock`` and first catches up on records appended
   by sibling processes (incremental from the last applied byte offset),
-  so N serving workers charge one ledger with a single floor.
+  so N serving workers charge one ledger with a single floor. The
+  at-rest reads (:func:`replay_ledger_dir`: ``repro ledger verify`` /
+  ``show`` and ``repro obs top --ledger-dir``) change nothing: they hold
+  the same ``flock`` shared while they replay, open the existing
+  ``ledger.lock`` but never create it, and refuse a path with no
+  ``meta.json`` as holding no ledger.
 * **Idempotency** — a charge may carry an idempotency key; the key and
   the eventual response are journaled, so a retried publish is answered
   from the replay cache instead of double-charging the budget
@@ -70,8 +81,10 @@ book nobody scrapes never builds them and pays nothing.
   entries as ``result`` records — so a sibling's charges made during
   the outage are kept and a retried key replays instead of re-charging.
 
-Filesystem access goes through a :class:`LedgerFS` seam and crash
-points through a fault-injector hook, so the chaos suite
+Filesystem access goes through the :class:`repro.storage.LedgerFS`
+seam (``snapshot.json`` and ``meta.json`` are replaced by
+:func:`repro.storage.write_durable`, the writer of every durable file)
+and crash points through a fault-injector hook, so the chaos suite
 (:mod:`repro.serving.faults`) can deterministically kill the process at
 ``charge.before-append`` / mid-append (torn write) /
 ``charge.before-fsync`` / ``charge.after-fsync`` and assert the
@@ -82,10 +95,8 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import errno
 import json
 import os
-import tempfile
 import threading
 import time
 import zlib
@@ -104,6 +115,7 @@ from ..exceptions import ReproError
 from ..obs.budget import FAR, NEAR_FLOOR, burn_position
 from ..obs.metrics import FOLD_CAP, LatencyLog
 from ..obs.tracing import current_trace, span
+from ..storage import REAL_FS, LedgerFS, write_durable
 from ..validation import check_alpha
 from .ledger import allowance, check_floor
 
@@ -115,6 +127,7 @@ __all__ = [
     "LedgerUnavailableError",
     "MemoryLedgerBook",
     "UserBudget",
+    "replay_ledger_dir",
     "verify_ledger_dir",
 ]
 
@@ -145,49 +158,6 @@ class LedgerCorruptionError(ReproError):
     """The journal or snapshot is damaged in a way recovery must not
     paper over (corruption *before* valid records would drop admitted
     charges)."""
-
-
-class LedgerFS:
-    """The filesystem operations the ledger performs, as a seam.
-
-    The chaos harness substitutes :class:`repro.serving.faults.FaultyFS`
-    to inject torn writes, short writes, ``ENOSPC``, and fsync failures
-    at exactly these call sites. ``write`` treats a short write as an
-    ``OSError`` so the caller's rollback path handles real-world partial
-    writes the same way as injected ones.
-    """
-
-    def open_append(self, path):
-        return open(path, "ab", buffering=0)
-
-    def write(self, handle, data: bytes) -> None:
-        written = handle.write(data)
-        if written is not None and written != len(data):
-            raise OSError(
-                errno.EIO, f"short write: {written}/{len(data)} bytes"
-            )
-
-    def fsync(self, handle) -> None:
-        os.fsync(handle.fileno())
-
-    def truncate(self, handle, size: int) -> None:
-        handle.truncate(size)
-
-    def replace(self, source, destination) -> None:
-        os.replace(source, destination)
-
-    def fsync_dir(self, path) -> None:
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-
-REAL_FS = LedgerFS()
 
 
 class _NoFaults:
@@ -334,34 +304,22 @@ def _scan_wal(data: bytes, *, start_seq: int | None = None):
     return records, offset, 0, None
 
 
-def _atomic_json_write(path: Path, payload: dict, fs: LedgerFS) -> None:
-    """Write ``payload`` to ``path`` atomically and durably."""
-    handle = tempfile.NamedTemporaryFile(
-        mode="wb", dir=path.parent, prefix=f".{path.name}-", delete=False
-    )
-    try:
-        with handle:
-            fs.write(handle, _encode_record(payload))
-            handle.flush()
-            fs.fsync(handle)
-        fs.replace(handle.name, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(handle.name)
-        raise
-    fs.fsync_dir(path.parent)
-
-
 def _read_checked_json(path: Path) -> dict | None:
-    """Read a file written by :func:`_atomic_json_write`; ``None`` when
-    missing, raises :class:`LedgerCorruptionError` when damaged."""
+    """Read ``meta.json`` or ``snapshot.json``; ``None`` when missing,
+    raises :class:`LedgerCorruptionError` when damaged or of another
+    format version."""
     try:
         data = path.read_bytes()
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     record = _decode_record(data.strip())
     if record is None:
         raise LedgerCorruptionError(f"{path} is corrupt (checksum mismatch)")
+    if record.get("version") != _FORMAT_VERSION:
+        raise LedgerCorruptionError(
+            f"{path}: ledger format version {record.get('version')!r} is "
+            f"not {_FORMAT_VERSION}"
+        )
     return record
 
 
@@ -532,6 +490,37 @@ class MemoryLedgerBook:
             bisect.insort(top, key)
             del top[_TOP:]
 
+    def _apply(self, record: dict) -> None:
+        """Apply one journal record: the only rule a replay applies by.
+
+        A charge's ``cum`` must be the running product of the user's
+        alphas; a record that contradicts it is refused with
+        :class:`LedgerCorruptionError` before it changes anything.
+        Unknown ops are ignored for forward compatibility.
+        """
+        op = record.get("op")
+        if op == "charge":
+            user = record["user"]
+            state = self._users.get(user)
+            alpha, cum = _fraction(record["alpha"]), _fraction(record["cum"])
+            expected = alpha if state is None else state.cum * alpha
+            if cum != expected:
+                raise LedgerCorruptionError(
+                    f"seq {record['seq']}: cumulative {cum} does not equal "
+                    f"running product {expected} for user {user!r}"
+                )
+            self._credit(state, user, cum, alpha)
+            idem = record.get("idem")
+            if idem is not None:
+                existing = self._replay.get(idem)
+                if existing is None or existing.get("status") is None:
+                    self._replay.record(idem, user)
+        elif op == "result":
+            self._replay.record(
+                record["idem"], record.get("user"), record.get("status"),
+                record.get("response"),
+            )
+
     def _replay_decision(self, user, hit) -> ChargeDecision:
         state = self._users.get(hit.get("user") or user)
         cum = Fraction(1) if state is None else state.cum
@@ -698,21 +687,16 @@ class DurableLedger(MemoryLedgerBook):
     # -- metadata ------------------------------------------------------
     def _resolve_floor(self, floor):
         meta = _read_checked_json(self.path / _META_NAME)
-        if meta is not None and meta.get("version") != _FORMAT_VERSION:
-            raise LedgerCorruptionError(
-                f"ledger format version {meta.get('version')!r} is not "
-                f"{_FORMAT_VERSION}"
-            )
         stored = None if meta is None else _fraction(meta["floor"])
         if floor is None:
             floor = stored if stored is not None else 0
         floor = Fraction(check_floor(floor))
         if stored is None or stored != floor:
             self.path.mkdir(parents=True, exist_ok=True)
-            _atomic_json_write(
+            write_durable(
                 self.path / _META_NAME,
-                {"version": _FORMAT_VERSION, "seq": 0,
-                 "floor": str(floor)},
+                _encode_record({"version": _FORMAT_VERSION, "seq": 0,
+                                "floor": str(floor)}),
                 self._fs,
             )
         return floor
@@ -774,7 +758,14 @@ class DurableLedger(MemoryLedgerBook):
         return (stat.st_mtime_ns, stat.st_size)
 
     def _catch_up(self) -> None:
-        """Apply whatever sibling processes appended since our offset."""
+        """Apply whatever sibling processes appended since our offset.
+
+        A record refused here (a sibling's charge that contradicts its
+        alphas) is never applied, and the book serves no budget after
+        it: every later call refuses too — it re-reads the directory in
+        full and meets the same record — until the directory is
+        repaired.
+        """
         try:
             wal_size = os.path.getsize(self._wal_path)
         except FileNotFoundError:
@@ -793,6 +784,7 @@ class DurableLedger(MemoryLedgerBook):
                     self._truncate_wal(self._size + good)
                 for record in records:
                     self._apply(record)
+                    self._seq = record["seq"]
                 self._size += good
                 return
         self._reload()
@@ -804,75 +796,19 @@ class DurableLedger(MemoryLedgerBook):
             self._fs.fsync(handle)
 
     def _reload(self) -> None:
-        """Full recovery: snapshot, then journal replay, truncating a
-        torn tail and refusing mid-journal corruption."""
-        self._users = {}
+        """Full recovery: the one replay, into a fresh book; then
+        truncate a torn tail and adopt what it read. A refusal leaves
+        this book as it was."""
+        book = MemoryLedgerBook(self.floor, replay_cap=self._replay.cap)
+        found: dict = {}
+        _replay(self.path, book, found)
+        if found["torn_tail_bytes"]:
+            self._truncate_wal(found["journal_bytes"])
+        self._users, self._replay = book._users, book._replay
         self._near = self._top = None  # rebuilt by the next scrape
-        self._replay = _ReplayCache(self._replay.cap)
-        self._seq = 0
-        self._snapshot_seq = 0
-        snapshot = _read_checked_json(self._snapshot_path)
-        if snapshot is not None:
-            if snapshot.get("version") != _FORMAT_VERSION:
-                raise LedgerCorruptionError(
-                    f"snapshot version {snapshot.get('version')!r} is not "
-                    f"{_FORMAT_VERSION}"
-                )
-            self._snapshot_seq = self._seq = int(snapshot["seq"])
-            for user, state in snapshot.get("users", {}).items():
-                releases = int(state.get("releases", 1))
-                # Older compactions wrote zero-release entries for users
-                # whose first charge was rejected: no budget was spent.
-                if releases > 0:
-                    self._users[user] = _UserState(
-                        _fraction(state["cum"]), releases, None
-                    )
-            for idem, entry in snapshot.get("replay", {}).items():
-                self._replay.put(idem, dict(entry))
+        self._seq, self._snapshot_seq = found["seq"], found["snapshot_seq"]
+        self._size = found["journal_bytes"]
         self._snap_stat = self._stat_snapshot()
-        try:
-            data = self._wal_path.read_bytes()
-        except FileNotFoundError:
-            data = b""
-        records, good, torn, failure = _scan_wal(data)
-        if failure is not None:
-            raise LedgerCorruptionError(
-                f"{self._wal_path}: {failure}; refusing to drop admitted "
-                "charges — restore from snapshot/backup or repair manually"
-            )
-        applied = [r for r in records if r["seq"] > self._snapshot_seq]
-        if applied and applied[0]["seq"] != self._snapshot_seq + 1:
-            raise LedgerCorruptionError(
-                f"{self._wal_path}: journal starts at seq "
-                f"{applied[0]['seq']} but the snapshot ends at "
-                f"{self._snapshot_seq}; records are missing"
-            )
-        if torn:
-            self._truncate_wal(good)
-        for record in applied:
-            self._apply(record)
-        self._size = good
-
-    def _apply(self, record: dict) -> None:
-        op = record.get("op")
-        if op == "charge":
-            user = record["user"]
-            self._credit(
-                self._users.get(user), user, _fraction(record["cum"]),
-                _fraction(record["alpha"]),
-            )
-            idem = record.get("idem")
-            if idem is not None:
-                existing = self._replay.get(idem)
-                if existing is None or existing.get("status") is None:
-                    self._replay.record(idem, user)
-        elif op == "result":
-            self._replay.record(
-                record["idem"], record.get("user"), record.get("status"),
-                record.get("response"),
-            )
-        # Unknown ops are ignored for forward compatibility.
-        self._seq = record["seq"]
 
     # -- the append protocol -------------------------------------------
     def _append(self, record: dict) -> None:
@@ -1114,7 +1050,7 @@ class DurableLedger(MemoryLedgerBook):
             },
             "replay": {idem: entry for idem, entry in self._replay.items()},
         }
-        _atomic_json_write(self._snapshot_path, payload, self._fs)
+        write_durable(self._snapshot_path, _encode_record(payload), self._fs)
         self._faults.crash("compact.after-snapshot")
         self._truncate_wal(0)
         self._size = 0
@@ -1167,16 +1103,109 @@ class DurableLedger(MemoryLedgerBook):
         )
 
 
+def _replay(path: Path, book: MemoryLedgerBook, found: dict) -> None:
+    """The one reader of a ledger's snapshot and journal.
+
+    Loads the snapshot into the empty ``book`` (skipping the zero-release
+    entries older compactions wrote for users whose first charge was
+    rejected: no budget was spent), scans the journal, refuses
+    mid-journal corruption and sequence gaps, and applies every record
+    past the snapshot with the book's one apply rule. Changes nothing on
+    disk. ``found`` receives ``seq``, ``snapshot_seq``, ``records``,
+    ``journal_bytes`` (the valid prefix) and ``torn_tail_bytes`` as soon
+    as the journal is scanned, so a refusal still reports what was read.
+    """
+    snapshot = _read_checked_json(path / _SNAPSHOT_NAME)
+    seq = 0
+    if snapshot is not None:
+        seq = int(snapshot["seq"])
+        for user, state in snapshot.get("users", {}).items():
+            releases = int(state.get("releases", 1))
+            if releases > 0:
+                book._users[user] = _UserState(
+                    _fraction(state["cum"]), releases, None
+                )
+        for idem, entry in snapshot.get("replay", {}).items():
+            book._replay.put(idem, dict(entry))
+    wal = path / _WAL_NAME
+    try:
+        data = wal.read_bytes()
+    except FileNotFoundError:
+        data = b""
+    records, good, torn, failure = _scan_wal(data)
+    found.update(
+        seq=max(seq, records[-1]["seq"]) if records else seq,
+        snapshot_seq=seq, records=len(records), journal_bytes=good,
+        torn_tail_bytes=torn,
+    )
+    if failure is not None:
+        raise LedgerCorruptionError(
+            f"{wal}: {failure}; refusing to drop admitted charges — "
+            "restore from snapshot/backup or repair manually"
+        )
+    applied = [r for r in records if r["seq"] > seq]
+    if applied and applied[0]["seq"] != seq + 1:
+        raise LedgerCorruptionError(
+            f"{wal}: journal starts at seq {applied[0]['seq']} but the "
+            f"snapshot ends at {seq}; records are missing"
+        )
+    for record in applied:
+        book._apply(record)
+
+
+@contextlib.contextmanager
+def _shared_flock(path: Path):
+    """Hold ``ledger.lock``'s flock shared when the file exists; never
+    create it."""
+    try:
+        handle = open(path / _LOCK_NAME, "rb")
+    except (FileNotFoundError, NotADirectoryError):
+        yield
+        return
+    with handle:
+        if fcntl is not None:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
+        yield
+
+
+def replay_ledger_dir(
+    directory, found: dict | None = None
+) -> MemoryLedgerBook:
+    """Read a ledger directory at rest into a memory book, read-only.
+
+    The one replay a reopening :class:`DurableLedger` performs, run
+    under ``ledger.lock``'s flock held shared, so a live server's
+    compaction cannot interleave between the snapshot and journal
+    reads. Nothing is created, truncated or written. Returns a
+    :class:`MemoryLedgerBook` at ``meta.json``'s floor; ``found``, when
+    given, receives ``floor`` (as stored) and the replay's counts (see
+    :func:`_replay`). Raises :class:`ReproError` for a path without
+    ``meta.json`` (no ledger) and :class:`LedgerCorruptionError` with
+    the refusal.
+    """
+    path = Path(directory).expanduser()
+    found = {} if found is None else found
+    with _shared_flock(path):
+        meta = _read_checked_json(path / _META_NAME)
+        if meta is None:
+            raise ReproError(f"no ledger at {path}")
+        found["floor"] = meta.get("floor")
+        book = MemoryLedgerBook(_fraction(meta["floor"]))
+        _replay(path, book, found)
+    return book
+
+
 def verify_ledger_dir(directory) -> dict:
     """Read-only integrity check of a ledger directory.
 
-    Returns a report dict: ``ok`` is ``False`` only for damage recovery
-    would refuse (mid-journal corruption, bad snapshot/meta checksums,
-    sequence gaps). A torn tail is reported (``torn_tail_bytes``) but is
-    *not* a failure — recovery truncates it by design.
+    Reads ``meta.json``, then the one replay. ``ok`` is ``True`` exactly
+    when :class:`DurableLedger` reopens the directory, and ``users`` then
+    equals the reopened book's ``users()``; the refusal is reported as
+    the failure, and a path without ``meta.json`` fails as holding no
+    ledger. A torn tail is reported (``torn_tail_bytes``) but is *not* a
+    failure — recovery truncates it by design.
     """
     path = Path(directory).expanduser()
-    failures: list[str] = []
     report = {
         "path": str(path),
         "ok": True,
@@ -1185,67 +1214,11 @@ def verify_ledger_dir(directory) -> dict:
         "seq": 0,
         "snapshot_seq": 0,
         "torn_tail_bytes": 0,
-        "failures": failures,
+        "failures": [],
     }
-    snapshot_seq = 0
-    users: set[str] = set()
-    cumulative: dict[str, Fraction] = {}
     try:
-        meta = _read_checked_json(path / _META_NAME)
-    except LedgerCorruptionError as err:
-        failures.append(str(err))
-        meta = None
-    if meta is not None:
-        report["floor"] = meta.get("floor")
-    try:
-        snapshot = _read_checked_json(path / _SNAPSHOT_NAME)
-    except LedgerCorruptionError as err:
-        failures.append(str(err))
-        snapshot = None
-    if snapshot is not None:
-        snapshot_seq = int(snapshot.get("seq", 0))
-        for user, state in snapshot.get("users", {}).items():
-            users.add(user)
-            try:
-                cumulative[user] = _fraction(state["cum"])
-            except LedgerCorruptionError as err:
-                failures.append(f"snapshot user {user!r}: {err}")
-    report["snapshot_seq"] = snapshot_seq
-    try:
-        data = (path / _WAL_NAME).read_bytes()
-    except FileNotFoundError:
-        data = b""
-    records, _good, torn, failure = _scan_wal(data)
-    if failure is not None:
-        failures.append(failure)
-    report["torn_tail_bytes"] = torn
-    applied = [r for r in records if r["seq"] > snapshot_seq]
-    if applied and applied[0]["seq"] != snapshot_seq + 1:
-        failures.append(
-            f"journal starts at seq {applied[0]['seq']} but the snapshot "
-            f"ends at {snapshot_seq}"
-        )
-    for record in applied:
-        if record.get("op") == "charge":
-            user = record["user"]
-            users.add(user)
-            try:
-                step = _fraction(record["alpha"])
-                claimed = _fraction(record["cum"])
-            except LedgerCorruptionError as err:
-                failures.append(f"seq {record['seq']}: {err}")
-                continue
-            expected = cumulative.get(user, Fraction(1)) * step
-            if expected != claimed:
-                failures.append(
-                    f"seq {record['seq']}: cumulative {claimed} does not "
-                    f"equal running product {expected} for user {user!r}"
-                )
-            cumulative[user] = claimed
-    report["records"] = len(records)
-    report["users"] = len(users)
-    report["seq"] = max(
-        [snapshot_seq] + [r["seq"] for r in records], default=0
-    )
-    report["ok"] = not failures
+        report["users"] = replay_ledger_dir(path, report).users()
+    except ReproError as err:
+        report["failures"].append(str(err))
+    report["ok"] = not report["failures"]
     return report

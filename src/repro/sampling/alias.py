@@ -211,7 +211,7 @@ class AliasTable:
             # constructor accepts them): clip those to 0, renormalize.
             probabilities = [max(float(p), 0.0) for p in probabilities]
             total = sum(probabilities)
-            if not np.isclose(total, 1.0, atol=1e-9):
+            if abs(total - 1.0) > max(ATOL, ATOL * len(probabilities)):
                 raise ValidationError(
                     f"probabilities must sum to 1, got {total}"
                 )

@@ -8,13 +8,14 @@ rows, and right-hand sides, with every coefficient serialized losslessly
 (``Fraction`` as ``p/q``, floats as C99 hex) — so a cache entry can never
 go stale: any change to the program changes its key.
 
-The store is a directory of JSON files (two-level fan-out on the key
-prefix), written atomically via ``os.replace``, so concurrent readers
-and writers — in particular the ``workers=`` process pools of
-:mod:`repro.analysis.sweeps` — share one cache directory safely: racing
-writers of the same key write identical bytes, and readers never observe
-a partial file. A small bounded in-memory layer sits above the directory
-for repeated hits inside one process.
+The store is a :class:`repro.storage.DirectoryStore`: a directory of
+JSON files (two-level fan-out on the key prefix), each written
+atomically and durably by :func:`repro.storage.write_durable`, so
+concurrent readers and writers — in particular the ``workers=`` process
+pools of :mod:`repro.analysis.sweeps` — share one cache directory
+safely: racing writers of the same key write identical bytes, and
+readers never observe a partial file. A small bounded in-memory layer
+sits above the directory for repeated hits inside one process.
 
 A process-wide default cache can be enabled by setting the
 ``REPRO_CACHE_DIR`` environment variable (or
@@ -25,14 +26,11 @@ A process-wide default cache can be enabled by setting the
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
-import os
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 from ..exceptions import ValidationError
+from ..storage import DirectoryStore, gc_directory
 from .base import LinearProgram, LPSolution
 
 __all__ = [
@@ -52,9 +50,6 @@ _FORMAT_VERSION = 1
 
 #: Environment variable enabling the process-wide default cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Entries kept in the per-instance in-memory layer.
-_MEMORY_ENTRIES = 1024
 
 
 def _encode_number(value) -> str:
@@ -101,64 +96,6 @@ encode_number = _encode_number
 decode_number = _decode_number
 
 
-def gc_directory(
-    path, *, max_entries: int | None = None, max_age_days: float | None = None
-) -> int:
-    """Evict entries from a directory-of-JSON store; returns count removed.
-
-    Shared by :meth:`SolveCache.gc` and
-    :meth:`repro.release.artifacts.ArtifactStore.gc`. Entries older than
-    ``max_age_days`` (by mtime) are removed first; then, when
-    ``max_entries`` is set, the oldest survivors are removed until at
-    most that many remain. Content-addressed entries are never *stale*,
-    so GC is purely a disk-budget tool. Concurrent removals are
-    tolerated (missing files are skipped).
-    """
-    if max_entries is not None and max_entries < 0:
-        raise ValidationError(
-            f"max_entries must be >= 0, got {max_entries}"
-        )
-    if max_age_days is not None and max_age_days < 0:
-        raise ValidationError(
-            f"max_age_days must be >= 0, got {max_age_days}"
-        )
-    root = Path(path).expanduser()
-    if not root.is_dir():
-        return 0
-    entries = []
-    for entry in root.rglob("*.json"):
-        try:
-            entries.append((entry.stat().st_mtime, entry))
-        except OSError:
-            continue
-    entries.sort(key=lambda pair: pair[0])
-    removed = 0
-    survivors = []
-    if max_age_days is not None:
-        import time
-
-        cutoff = time.time() - max_age_days * 86400.0
-        for mtime, entry in entries:
-            if mtime < cutoff:
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            else:
-                survivors.append((mtime, entry))
-    else:
-        survivors = entries
-    if max_entries is not None and len(survivors) > max_entries:
-        for _, entry in survivors[: len(survivors) - max_entries]:
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
-
-
 def canonical_terms(terms) -> str:
     """Canonical text of a sparse ``(variable, coeff)`` term list."""
     return ",".join(f"{var}:{_encode_number(coeff)}" for var, coeff in terms)
@@ -186,7 +123,9 @@ def canonical_key(program: LinearProgram, *, variant: str = "") -> str:
     return digest.hexdigest()
 
 
-class SolveCache:
+
+
+class SolveCache(DirectoryStore):
     """Directory-backed, content-addressed store of exact LP solutions.
 
     Parameters
@@ -202,47 +141,42 @@ class SolveCache:
         run, i.e. zero LP solves.
     """
 
-    def __init__(self, path) -> None:
-        self.path = Path(path).expanduser()
-        self._memory: dict[str, LPSolution] = {}
-        self.stats = {"hits": 0, "misses": 0, "stores": 0}
+    env = CACHE_DIR_ENV
+    memory_entries = 1024
+    metric = (
+        "repro_solve_cache_total",
+        "Solve-cache lookups and stores, by result.",
+        "result",
+    )
 
-    @staticmethod
-    def _count(result: str) -> None:
-        # Mirrors the per-instance stats into the process-default
-        # metrics registry, so one /metrics scrape of a serving process
-        # also shows solver-cache behaviour. Resolved per call: the
-        # solver path is not hot, and tests swap the default registry.
-        from ..obs.metrics import default_registry
-
-        default_registry().counter(
-            "repro_solve_cache_total",
-            "Solve-cache lookups and stores, by result.",
-            labels=("result",),
-        ).labels(result).inc()
-
-    # -- keying --------------------------------------------------------
     def key(self, program: LinearProgram, *, variant: str = "") -> str:
         """Content key for ``program`` (see :func:`canonical_key`)."""
         return canonical_key(program, variant=variant)
 
-    def _entry_path(self, key: str) -> Path:
-        return self.path / key[:2] / f"{key}.json"
+    def decode(self, payload, key: str) -> LPSolution:
+        if (
+            not isinstance(payload, dict)
+            or payload.get("version") != _FORMAT_VERSION
+        ):
+            raise ValidationError(
+                f"solve-cache entry is not format version {_FORMAT_VERSION}"
+            )
+        try:
+            return LPSolution(
+                values=[_decode_number(value) for value in payload["values"]],
+                objective=_decode_number(payload["objective"]),
+                backend=str(payload["backend"]),
+            )
+        except (KeyError, TypeError, IndexError) as err:
+            raise ValidationError(
+                f"solve-cache entry is damaged: {err!r}"
+            ) from None
 
-    # -- lookup --------------------------------------------------------
     def get_key(self, key: str) -> LPSolution | None:
         """Return the cached solution for ``key``, or ``None``."""
-        cached = self._memory.get(key)
+        cached = self._lookup(key)
         if cached is None:
-            cached = self._load(key)
-            if cached is not None:
-                self._remember(key, cached)
-        if cached is None:
-            self.stats["misses"] += 1
-            self._count("miss")
             return None
-        self.stats["hits"] += 1
-        self._count("hit")
         return LPSolution(
             values=list(cached.values),
             objective=cached.objective,
@@ -255,37 +189,14 @@ class SolveCache:
         """Return the cached solution for ``program``, or ``None``."""
         return self.get_key(self.key(program, variant=variant))
 
-    # -- store ---------------------------------------------------------
     def put_key(self, key: str, solution: LPSolution) -> None:
-        """Persist ``solution`` under ``key`` (atomic replace on disk)."""
-        payload = {
+        """Persist ``solution`` under ``key`` (atomic and durable)."""
+        self._write(key, solution, {
             "version": _FORMAT_VERSION,
             "objective": _encode_number(solution.objective),
             "values": [_encode_number(value) for value in solution.values],
             "backend": solution.backend,
-        }
-        entry = self._entry_path(key)
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            mode="w",
-            dir=entry.parent,
-            prefix=f".{key[:8]}-",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, entry)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        self._remember(key, solution)
-        self.stats["stores"] += 1
-        self._count("store")
+        })
 
     def put(
         self,
@@ -297,96 +208,7 @@ class SolveCache:
         """Persist the solution of ``program``."""
         self.put_key(self.key(program, variant=variant), solution)
 
-    # -- internals -----------------------------------------------------
-    def _load(self, key: str) -> LPSolution | None:
-        entry = self._entry_path(key)
-        try:
-            payload = json.loads(entry.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != _FORMAT_VERSION:
-            return None
-        try:
-            return LPSolution(
-                values=[_decode_number(value) for value in payload["values"]],
-                objective=_decode_number(payload["objective"]),
-                backend=str(payload["backend"]),
-            )
-        except (KeyError, TypeError, IndexError, ValidationError, ValueError):
-            return None
 
-    def _remember(self, key: str, solution: LPSolution) -> None:
-        if len(self._memory) >= _MEMORY_ENTRIES:
-            self._memory.pop(next(iter(self._memory)))
-        self._memory[key] = solution
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (the directory is untouched)."""
-        self._memory.clear()
-
-    def gc(
-        self,
-        *,
-        max_entries: int | None = None,
-        max_age_days: float | None = None,
-    ) -> int:
-        """Evict on-disk entries (see :func:`gc_directory`).
-
-        The in-memory layer is dropped too, so evicted entries cannot be
-        served from memory afterwards.
-        """
-        removed = gc_directory(
-            self.path, max_entries=max_entries, max_age_days=max_age_days
-        )
-        self._memory.clear()
-        return removed
-
-    def __repr__(self) -> str:
-        return (
-            f"<SolveCache {str(self.path)!r} hits={self.stats['hits']} "
-            f"misses={self.stats['misses']} stores={self.stats['stores']}>"
-        )
-
-
-#: Module default: unresolved sentinel until first use.
-_UNSET = object()
-_default_cache = _UNSET
-
-
-def default_cache() -> SolveCache | None:
-    """The process-wide default cache (``REPRO_CACHE_DIR``), or ``None``."""
-    global _default_cache
-    if _default_cache is _UNSET:
-        directory = os.environ.get(CACHE_DIR_ENV)
-        _default_cache = SolveCache(directory) if directory else None
-    return _default_cache
-
-
-def set_default_cache(cache) -> None:
-    """Install a process-wide default cache.
-
-    Accepts a :class:`SolveCache`, a directory path, or ``None`` to
-    disable (and stop consulting ``REPRO_CACHE_DIR``).
-    """
-    global _default_cache
-    if cache is None or isinstance(cache, SolveCache):
-        _default_cache = cache
-    else:
-        _default_cache = SolveCache(cache)
-
-
-def resolve_cache(solve_cache) -> SolveCache | None:
-    """Normalize a ``solve_cache=`` argument.
-
-    ``None`` means "use the process default" (which is itself ``None``
-    unless configured), ``False`` disables caching for the call, a
-    path-like builds a directory cache, and a :class:`SolveCache` is
-    used as-is.
-    """
-    if solve_cache is None:
-        return default_cache()
-    if solve_cache is False:
-        return None
-    if isinstance(solve_cache, SolveCache):
-        return solve_cache
-    return SolveCache(solve_cache)
+default_cache = SolveCache.default
+set_default_cache = SolveCache.set_default
+resolve_cache = SolveCache.resolve

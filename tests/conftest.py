@@ -18,12 +18,11 @@ def _no_ambient_solve_cache(monkeypatch):
     ``solve_cache=``/``cache_dir=`` arguments; an ambient default would
     make solve counts and backend provenance nondeterministic.
     """
-    import repro.solvers.cache as solve_cache_module
+    import repro.storage as storage_module
 
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(
-        solve_cache_module, "_default_cache", solve_cache_module._UNSET
-    )
+    # Forget every resolved process-default store.
+    monkeypatch.setattr(storage_module, "_DEFAULTS", {})
 
 
 @pytest.fixture

@@ -219,12 +219,8 @@ class TestArtifactStore:
         assert store.keys() == []
 
     def test_default_store_env(self, tmp_path, monkeypatch):
-        from repro.release import artifacts as artifacts_module
-
+        # The autouse conftest fixture leaves the default unresolved.
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        monkeypatch.setattr(
-            artifacts_module, "_default_store", artifacts_module._UNSET
-        )
         store = default_artifact_store()
         assert store is not None and store.path == tmp_path
         assert resolve_artifact_store(None) is store

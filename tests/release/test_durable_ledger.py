@@ -31,6 +31,7 @@ from repro.release.durable_ledger import (
     LedgerUnavailableError,
     MemoryLedgerBook,
     _encode_record,
+    replay_ledger_dir,
     verify_ledger_dir,
 )
 from repro.serving.faults import FaultInjector, FaultyFS, InjectedCrash
@@ -471,6 +472,148 @@ class TestRecovery:
         report = verify_ledger_dir(ledger_dir)
         assert not report["ok"]
         assert any("running product" in f for f in report["failures"])
+
+
+def _rewrite_json(path, **changes):
+    record = json.loads(path.read_bytes())
+    del record["crc"]
+    record.update(changes)
+    path.write_bytes(_encode_record(record))
+
+
+def _meta_at_version_2(directory):
+    _rewrite_json(directory / "meta.json", version=2)
+
+
+def _snapshot_at_version_2(directory):
+    (directory / "snapshot.json").write_bytes(_encode_record({
+        "version": 2, "seq": 3, "floor": "1/64", "replay": {}, "users": {},
+    }))
+
+
+def _contradicting_cum(directory):
+    wal = directory / "wal.jsonl"
+    lines = wal.read_bytes().splitlines(keepends=True)
+    wal.write_bytes(lines[0])
+    _rewrite_json(wal, cum="1/3")  # alpha 1/2, re-checksummed
+
+
+def _legacy_zero_release_entry(directory):
+    # What compactions before the one-book refactor wrote for a user
+    # whose first charge was rejected.
+    (directory / "snapshot.json").write_bytes(_encode_record({
+        "version": 1, "seq": 3, "floor": "1/64", "replay": {},
+        "users": {"x": {"cum": "1", "releases": 0},
+                  "u": {"cum": "1/4", "releases": 2},
+                  "v": {"cum": "1/4", "releases": 1}},
+    }))
+
+
+def _mid_journal_garbage(directory):
+    wal = directory / "wal.jsonl"
+    wal.write_bytes(b"garbage not json\n" + wal.read_bytes())
+
+
+def _sequence_gap(directory):
+    wal = directory / "wal.jsonl"
+    wal.write_bytes(b"".join(wal.read_bytes().splitlines(True)[1:]))
+
+
+def _torn_tail(directory):
+    wal = directory / "wal.jsonl"
+    wal.write_bytes(wal.read_bytes() + b'{"op":"charge","seq":4,"user":"u"')
+
+
+class TestOneReader:
+    """``verify_ledger_dir``, the book's open and the at-rest reads are
+    one replay, so they agree on every directory."""
+
+    DAMAGE = [
+        (_meta_at_version_2, False),
+        (_snapshot_at_version_2, False),
+        (_contradicting_cum, False),
+        (_legacy_zero_release_entry, True),
+        (_mid_journal_garbage, False),
+        (_sequence_gap, False),
+        (_torn_tail, True),
+    ]
+
+    @pytest.mark.parametrize(
+        "damage,reopens", DAMAGE, ids=[d.__name__[1:] for d, _ in DAMAGE]
+    )
+    def test_verify_is_ok_exactly_when_the_book_reopens(
+        self, ledger_dir, damage, reopens
+    ):
+        ledger = DurableLedger(ledger_dir, Fraction(1, 64))
+        ledger.charge("u", HALF)
+        ledger.charge("u", HALF)
+        ledger.charge("v", QUARTER)
+        ledger.close()
+        damage(ledger_dir)
+        report = verify_ledger_dir(ledger_dir)  # first: opening truncates
+        try:
+            book = DurableLedger(ledger_dir)
+        except LedgerCorruptionError:
+            users = None
+        else:
+            users = book.users()
+            book.close()
+        assert report["ok"] == (users is not None) == reopens
+        if reopens:
+            assert report["users"] == users == 2
+
+    def test_sibling_contradiction_refuses_every_later_call(
+        self, ledger_dir
+    ):
+        book = DurableLedger(ledger_dir, Fraction(1, 64))
+        assert book.charge("u", HALF).cumulative_alpha == HALF
+        sibling = DurableLedger(ledger_dir)
+        sibling.charge("v", HALF)  # a good record ...
+        sibling.close()
+        wal = ledger_dir / "wal.jsonl"
+        intact = wal.read_bytes()
+        with open(wal, "ab") as handle:  # ... then a contradicting one
+            handle.write(_encode_record({
+                "op": "charge", "seq": 3, "user": "u", "alpha": "1/2",
+                "cum": "1/3", "label": "release",
+            }))
+        for _ in range(2):
+            with pytest.raises(LedgerCorruptionError, match="running"):
+                book.view("u")
+            with pytest.raises(LedgerCorruptionError, match="running"):
+                book.charge("u", HALF)
+            with pytest.raises(LedgerCorruptionError, match="running"):
+                book.budgets()
+        wal.write_bytes(intact)  # repaired: the same book serves again,
+        # and u's budget never took the contradicting record.
+        assert book.view("u").cumulative_alpha == HALF
+        assert book.view("v").cumulative_alpha == HALF
+        book.close()
+
+    def test_at_rest_reads_change_nothing(self, ledger_dir):
+        ledger = DurableLedger(ledger_dir, Fraction(1, 64))
+        ledger.charge("u", HALF, idem="k")
+        ledger.close()
+        (ledger_dir / "ledger.lock").unlink()
+        _torn_tail(ledger_dir)
+        before = {p.name: p.read_bytes() for p in ledger_dir.iterdir()}
+        found = {}
+        book = replay_ledger_dir(ledger_dir, found)
+        assert verify_ledger_dir(ledger_dir)["ok"]
+        assert {p.name: p.read_bytes() for p in ledger_dir.iterdir()} == before
+        assert (found["seq"], found["torn_tail_bytes"] > 0) == (1, True)
+        assert book.floor == Fraction(1, 64)
+        assert book.view("u").cumulative_alpha == HALF
+        assert book.stats()["replay_entries"] == 1
+
+    def test_a_path_without_meta_holds_no_ledger(self, tmp_path):
+        missing = tmp_path / "missing"
+        with pytest.raises(ReproError, match="no ledger at"):
+            replay_ledger_dir(missing)
+        report = verify_ledger_dir(missing)
+        assert not report["ok"]
+        assert report["failures"] == [f"no ledger at {missing}"]
+        assert not missing.exists()
 
 
 class TestMultiInstanceSharing:

@@ -87,6 +87,14 @@ class TestAliasTableConstruction:
         with pytest.raises(ValidationError):
             AliasTable([0.5, 0.2])
 
+    def test_float_mass_tolerance_is_check_row_stochastic_rule(self):
+        # |total - 1| <= max(ATOL, ATOL * K): 9e-6 off is refused (a
+        # relative 1e-5 tolerance used to renormalize it silently) ...
+        with pytest.raises(ValidationError, match="sum to 1"):
+            AliasTable([0.5, 0.500009])
+        # ... while float rounding within the rule still builds.
+        assert AliasTable([0.5, 0.5 + 5e-10]).size == 2
+
     def test_sample_range_and_reproducibility(self):
         table = AliasTable(list(geometric_matrix(6, Fraction(1, 2))[3]))
         a = table.sample(np.random.default_rng(42), 2000)

@@ -44,12 +44,7 @@ def run(coro):
 
 class TestLifecycle:
     def test_needs_a_store(self, monkeypatch):
-        from repro.release import artifacts as artifacts_module
-
         monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        monkeypatch.setattr(
-            artifacts_module, "_default_store", artifacts_module._UNSET
-        )
         with pytest.raises(ReproError, match="artifact store"):
             MechanismServer(None)
 
@@ -70,6 +65,37 @@ class TestLifecycle:
         spec = ArtifactSpec("geometric", 8, Fraction(1, 2))
         assert server.load(spec) == server.load(spec)
         assert len(server.deployments) == 3
+
+    def test_misfiled_artifact_neither_verifies_nor_loads(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        store = ArtifactStore(tmp_path / "artifacts")
+        spec = ArtifactSpec("geometric", 8, Fraction(1, 2))
+        store.get_or_compile(spec)
+        foreign = store._entry_path(
+            ArtifactSpec("geometric", 4, Fraction(1, 4)).key()
+        )
+        foreign.parent.mkdir(parents=True, exist_ok=True)
+        store._entry_path(spec.key()).rename(foreign)
+        store.clear_memory()
+        (report,) = store.verify_all()
+        assert (report.kind, report.failures) == (
+            "geometric", ("entry filed under a foreign spec key",)
+        )
+        assert main(["cache", "verify", "--store", str(store.path)]) == 1
+        assert "foreign spec key" in capsys.readouterr().err
+        server = make_server(store)
+        assert server.deployments == () and store.get(spec) is None
+
+        async def go():
+            return await InProcessClient(server).publish(
+                user="gov", n=8, alpha="1/2", true_result=3
+            )
+
+        status, _ = run(go())
+        assert status == 404
 
     def test_tampered_artifact_refused_at_load(self, store):
         artifact = compile_artifact("geometric", 3, Fraction(1, 2))

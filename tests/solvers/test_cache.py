@@ -167,25 +167,14 @@ class TestResolveCache:
         assert isinstance(resolved, SolveCache)
 
     def test_default_from_environment(self, tmp_path, monkeypatch):
+        # The autouse conftest fixture leaves the default unresolved.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        set_default_cache(None)  # forget any resolved default
-        try:
-            import repro.solvers.cache as cache_module
-
-            cache_module._default_cache = cache_module._UNSET
-            resolved = resolve_cache(None)
-            assert isinstance(resolved, SolveCache)
-            assert resolved.path == tmp_path
-        finally:
-            cache_module._default_cache = cache_module._UNSET
+        resolved = resolve_cache(None)
+        assert isinstance(resolved, SolveCache)
+        assert resolved.path == tmp_path
 
     def test_set_default_cache(self, tmp_path):
-        import repro.solvers.cache as cache_module
-
-        try:
-            set_default_cache(tmp_path)
-            assert resolve_cache(None).path == tmp_path
-            set_default_cache(None)
-            assert resolve_cache(None) is None
-        finally:
-            cache_module._default_cache = cache_module._UNSET
+        set_default_cache(tmp_path)
+        assert resolve_cache(None).path == tmp_path
+        set_default_cache(None)
+        assert resolve_cache(None) is None

@@ -353,11 +353,6 @@ class TestCompileAndCacheCommands:
 
     def test_missing_store_is_an_error(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        from repro.release import artifacts as artifacts_module
-
-        monkeypatch.setattr(
-            artifacts_module, "_default_store", artifacts_module._UNSET
-        )
         assert main(["cache", "verify"]) == 1
         assert "artifact store" in capsys.readouterr().err
 
@@ -526,6 +521,31 @@ class TestObsAndLedgerCommands:
         assert lines[1].startswith("alice")
         assert lines[2].startswith("bob")
         assert "within k charges of the floor: <=1: 1, <=2: 2" in lines[-1]
+
+    @pytest.mark.parametrize("kind", ["missing", "empty", "file"])
+    @pytest.mark.parametrize(
+        "command",
+        [["ledger", "verify"], ["ledger", "show"], ["ledger", "compact"],
+         ["obs", "top"]],
+    )
+    def test_a_path_with_no_ledger_is_refused(
+        self, capsys, tmp_path, command, kind
+    ):
+        """These used to take a path without ``meta.json`` for an empty
+        ledger, and all but ``verify`` created one there."""
+        path = tmp_path / "no-ledger"
+        if kind == "empty":
+            path.mkdir()
+        elif kind == "file":
+            path.write_bytes(b"x")
+        assert main([*command, "--ledger-dir", str(path)]) == 1
+        assert f"no ledger at {path}" in capsys.readouterr().err
+        if kind == "missing":
+            assert not path.exists()
+        elif kind == "empty":
+            assert list(path.iterdir()) == []
+        else:
+            assert path.read_bytes() == b"x"
 
     def test_obs_top_without_source_errors(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
