@@ -21,14 +21,13 @@ targets are missed). Emits a ``BENCH {json}`` line for dashboards and
 archives a human-readable report under ``benchmarks/out/``.
 """
 
-import argparse
 import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from _report import emit, emit_bench
+from _report import emit, emit_bench, parse_args
 
 from repro.core.geometric import (
     GeometricMechanism,
@@ -169,18 +168,10 @@ def check_exact_bit_identity(n, alpha):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small sizes for a CI smoke run",
+    args = parse_args(
+        argv, __doc__,
+        "exit nonzero when full-mode speedup targets are missed",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when full-mode speedup targets are missed",
-    )
-    args = parser.parse_args(argv)
 
     if args.quick:
         sizes = {"geometric": 128, "worst_case": 48, "batch": 2000, "kms": 12}
@@ -188,7 +179,6 @@ def main(argv=None):
         sizes = {"geometric": 512, "worst_case": 256, "batch": 10000, "kms": 24}
 
     results = {
-        "quick": args.quick,
         "geometric_matrix_float": bench_geometric_matrix(sizes["geometric"]),
         "worst_case_loss_float": bench_worst_case_loss(sizes["worst_case"]),
         "publish_batch": bench_publish_batch(sizes["batch"]),
@@ -224,7 +214,7 @@ def main(argv=None):
         ),
     ]
     emit("fastpath", "\n".join(lines))
-    emit_bench("fastpath", results)
+    emit_bench("fastpath", results, quick=args.quick)
 
     if args.check and not args.quick:
         failures = []

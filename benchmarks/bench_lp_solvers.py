@@ -24,12 +24,11 @@ exactness assertions). Emits a ``BENCH {json}`` line and archives a
 report under ``benchmarks/out/``.
 """
 
-import argparse
 import sys
 import time
 from fractions import Fraction
 
-from _report import emit, emit_bench
+from _report import emit, emit_bench, parse_args
 
 from repro.core.optimal import build_optimal_lp
 from repro.losses import AbsoluteLoss
@@ -311,17 +310,11 @@ def bench_instance(n, alpha, *, with_legacy=True, require_certified=False):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small sizes for a CI smoke run"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when full-mode speedup targets are missed "
+    args = parse_args(
+        argv, __doc__,
+        "exit nonzero when full-mode speedup targets are missed "
         "(quick mode still enforces the exact-equality assertions)",
     )
-    args = parser.parse_args(argv)
 
     if args.quick:
         instances = [(3, Fraction(1, 4)), (4, Fraction(1, 3))]
@@ -345,7 +338,6 @@ def main(argv=None):
         "integer_vs_legacy": 5.0,
     }
     results = {
-        "quick": args.quick,
         "instances": rows,
         "targets": targets,
     }
@@ -364,7 +356,7 @@ def main(argv=None):
         )
     lines.append("  all backends exact-identical: True (asserted)")
     emit("lp_solvers", "\n".join(lines))
-    emit_bench("lp_solvers", results)
+    emit_bench("lp_solvers", results, quick=args.quick)
 
     if args.check and not args.quick:
         failures = []

@@ -8,11 +8,11 @@ hard ceiling on what tracing adds and checks what the default reports:
 * ``traced_overhead_fraction`` — extra per-request CPU cost of 1% trace
   sampling to a JSONL sink (the opt-in ``--trace-rate 0.01``
   configuration) over the default server on the micro-batched
-  in-process serving path: warmed-up, interleaved rounds of the same
-  load with mode order alternated each round; the overhead is the
-  smaller of two noise-conservative estimators of the per-request
-  ``process_time`` delta (per-mode minima, paired per-round median —
-  see :func:`bench_overhead`) over the best default run. ``--check``
+  in-process serving path. :data:`OVERHEAD_ROUNDS` warmed-up rounds
+  each run the same load once per mode, back to back, with the mode
+  order alternated each round; the overhead is the median over rounds
+  of the per-round traced/default ratio of ``process_time`` per
+  request, minus 1 (:func:`_serving.paired_overhead`). ``--check``
   fails above :data:`TRACED_OVERHEAD_CEILING` (**~9.5%**).
 * ``p99_agreement`` — the log-bucketed histogram's p99 versus the
   exact sorted-array p99 of the same latency samples. The histogram
@@ -33,6 +33,8 @@ hard ceiling on what tracing adds and checks what the default reports:
   (**2x**) the 10k median. The overhead rounds scrape once before
   their load, so both modes pay for that upkeep.
 
+Every load runs through :func:`_serving.drive`.
+
 Standalone:
 ``PYTHONPATH=src:benchmarks python benchmarks/bench_observability.py``
 (``--quick`` for CI; ``--check`` enforces the overhead ceiling and the
@@ -40,10 +42,9 @@ assertions above). Emits ``BENCH {json}`` and writes
 ``benchmarks/out/BENCH_observability.json``.
 """
 
-import argparse
 import asyncio
 import gc
-import itertools
+import json
 import sys
 import tempfile
 import time
@@ -51,10 +52,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from _report import OUT_DIR, emit, emit_bench
+from _report import OUT_DIR, emit, emit_bench, parse_args
+from _serving import (
+    DEPLOYMENTS,
+    build_store,
+    drive,
+    mixed,
+    paired_overhead,
+)
 
 from repro.obs.metrics import LATENCY_BUCKET_GROWTH
-from repro.release.artifacts import ArtifactSpec, ArtifactStore
 from repro.release.durable_ledger import MemoryLedgerBook
 from repro.serving import InProcessClient, MechanismServer
 
@@ -68,18 +75,19 @@ from repro.serving import InProcessClient, MechanismServer
 #: which this benchmark caught during development).
 TRACED_OVERHEAD_CEILING = 1.15 / 1.05 - 1
 
+#: Paired rounds behind the overhead verdict. Ten back-to-back quick runs
+#: on a 2-core box gave 360 per-round ratios with median 1.02 and
+#: quartiles 0.935-1.100. Resampled, their median over 12 rounds crosses
+#: the ceiling in 3.3% of unchanged-tree runs and over 36 rounds in
+#: 0.07%, while 36 rounds with every ratio 0.10 higher cross it in 89%.
+OVERHEAD_ROUNDS = 36
+
 #: ``--check`` fails when the median scrape at the larger of these user
 #: counts costs more than :data:`SCRAPE_GROWTH_CEILING` times the median
 #: at the smaller: a scrape must cost O(metric series), not O(users) (a
 #: scrape that walks every user grows ~20x over this range).
 SCRAPE_GROWTH_SIZES = (10_000, 200_000)
 SCRAPE_GROWTH_CEILING = 2.0
-
-DEPLOYMENTS = [
-    (8, Fraction(1, 2)),
-    (40, Fraction(1, 4)),
-    (100, Fraction(2, 3)),
-]
 
 #: Span names one traced publish must cover on a durable server.
 EXPECTED_SPANS = {
@@ -91,58 +99,6 @@ EXPECTED_SPANS = {
     "sampler.gather",
 }
 
-
-def build_store(path) -> ArtifactStore:
-    store = ArtifactStore(path)
-    for n, alpha in DEPLOYMENTS:
-        store.get_or_compile(ArtifactSpec("geometric", n, alpha))
-    return store
-
-
-async def drive(server, *, requests, users, concurrency, warmup=0):
-    client = InProcessClient(server)
-    mix = [(n, str(alpha), n // 2) for n, alpha in DEPLOYMENTS]
-    statuses: dict[int, int] = {}
-
-    async def load(count, record):
-        counter = itertools.count()
-
-        async def worker():
-            while True:
-                i = next(counter)
-                if i >= count:
-                    return
-                n, alpha, row = mix[i % len(mix)]
-                status, _ = await client.publish(
-                    user=f"u{i % users}", n=n, alpha=alpha, true_result=row
-                )
-                if record:
-                    statuses[status] = statuses.get(status, 0) + 1
-
-        await asyncio.gather(*[worker() for _ in range(concurrency)])
-
-    if warmup:
-        # Untimed pre-load on this exact server: warms the adaptive
-        # interpreter's caches for the mode-specific code paths so the
-        # measured section does not pay first-iterations costs.
-        await load(warmup, False)
-    # Cyclic GC fires by allocation count, so *when* it lands inside
-    # the measured window is luck — and each pass scans the ~concurrency
-    # parked tasks, which swamps a few-percent effect. Park it for the
-    # bounded measured load; refcounting still reclaims acyclic garbage.
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        cpu_start = time.process_time()
-        await load(requests, True)
-        cpu = time.process_time() - cpu_start
-        wall = time.perf_counter() - start
-    finally:
-        gc.enable()
-    return wall, cpu, statuses
-
-
 #: Overhead-run configurations, measured against each other:
 #: ``metrics`` is the shipped default (metrics + burn gauges, tracing
 #: off); ``traced`` adds the opt-in 1% trace sampling to a JSONL sink.
@@ -150,14 +106,14 @@ MODES = ("metrics", "traced")
 
 
 def one_run(store, *, mode, trace_dir, requests, users, concurrency):
-    """One load run; returns ``(qps, cpu_us_per_request)``.
+    """One warmed-up load run with cyclic GC parked; returns its Load.
 
     The measured path is the production serving shape: a durable
     group-commit ledger (fresh WAL per run) under the micro-batcher, so
     every mode pays for real charge journaling and the traced mode
     exercises the full span vocabulary including ``wal.append`` /
     ``wal.fsync``. Asserts every request succeeded. The CPU figure
-    (``time.process_time`` over the drive) is what the overhead check
+    (``time.process_time`` over the load) is what the overhead check
     compares: telemetry cost is CPU work, and process CPU time is
     robust to the tens-of-percent wall-clock swings a noisy shared
     host injects into back-to-back runs.
@@ -176,16 +132,36 @@ def one_run(store, *, mode, trace_dir, requests, users, concurrency):
         # A scraped server keeps its budget-burn aggregates current on
         # every charge; scrape once so the load pays for that.
         server.telemetry.registry.render()
+        client = InProcessClient(server)
         warmup = max(1000, requests // 10)
-        gc.collect()  # start every run from the same heap state
-        wall, cpu, statuses = asyncio.run(
-            drive(
-                server, requests=requests, users=users,
-                concurrency=concurrency, warmup=warmup,
+
+        async def go():
+            # Untimed pre-load on this exact server: warms the adaptive
+            # interpreter's caches for the mode-specific code paths so
+            # the measured load does not pay first-iterations costs.
+            await drive(
+                lambda _: client, mixed(users),
+                requests=warmup, concurrency=concurrency,
             )
-        )
-        assert statuses == {200: requests}, (
-            f"unexpected statuses: {statuses}"
+            # Cyclic GC fires by allocation count, so *when* it lands
+            # inside the measured window is luck — and each pass scans
+            # the ~concurrency parked tasks, which swamps a few-percent
+            # effect. Park it for the bounded measured load;
+            # refcounting still reclaims acyclic garbage.
+            gc.collect()
+            gc.disable()
+            try:
+                return await drive(
+                    lambda _: client, mixed(users),
+                    requests=requests, concurrency=concurrency,
+                )
+            finally:
+                gc.enable()
+
+        gc.collect()  # start every run from the same heap state
+        load = asyncio.run(go())
+        assert load.counts() == {200: requests}, (
+            f"unexpected statuses: {load.counts()}"
         )
         snapshot = server.telemetry.registry.snapshot()
         published = sum(
@@ -197,33 +173,19 @@ def one_run(store, *, mode, trace_dir, requests, users, concurrency):
         )
         assert published == requests + warmup
         server.telemetry.close()
-    return requests / wall, cpu / requests * 1e6
+    return load
 
 
 def bench_overhead(store, *, requests, users, concurrency, rounds):
-    """Interleaved metrics/traced rounds; overhead per-request CPU.
+    """Paired metrics/traced rounds; the overhead by
+    :func:`_serving.paired_overhead`.
 
     A discarded warmup run absorbs cold-start effects (allocator and
-    code-path warmup), and rotating which mode goes first each round
-    cancels the monotone drift a busy host shows across back-to-back
-    runs. Contention noise is one-sided — a co-tenant can only *add*
-    CPU to a run — so any single estimator is biased upward by noise,
-    and the check uses the smaller of two independently conservative
-    ones:
-
-    * *floor*: ``min(traced) - min(metrics)`` over all rounds — exact
-      when each mode lands at least one quiet window, but one lucky-low
-      baseline (or a busy stretch that denies the instrumented mode a
-      quiet slot) can manufacture phantom overhead;
-    * *paired median*: the two modes of one round run back-to-back
-      in the same time window, so their per-round delta cancels
-      cross-round drift; the median over rounds discards rounds where
-      a tenant landed mid-run, but keeps the one-sided skew of
-      within-round noise.
-
-    A real regression inflates every instrumented run and therefore
-    *both* estimators; taking their minimum only sheds noise bias. The
-    delta is normalized by the best default run.
+    code-path warmup). Each round runs both modes back to back, so their
+    ratio cancels the drift a busy host shows across a run, and rotating
+    which mode goes first each round cancels any order effect within a
+    round. The median over rounds discards the rounds a co-tenant
+    disturbed.
     """
     runs: dict[str, list] = {mode: [] for mode in MODES}
     with tempfile.TemporaryDirectory(prefix="bench-obs-trace-") as traces:
@@ -233,50 +195,37 @@ def bench_overhead(store, *, requests, users, concurrency, rounds):
         )
         for round_index in range(rounds):
             offset = round_index % len(MODES)
-            order = MODES[offset:] + MODES[:offset]
-            for mode in order:
-                result = one_run(
+            for mode in MODES[offset:] + MODES[:offset]:
+                runs[mode].append(one_run(
                     store,
                     mode=mode,
                     trace_dir=traces if mode == "traced" else None,
                     requests=requests,
                     users=users,
                     concurrency=concurrency,
-                )
-                runs[mode].append(result)
-    best = {mode: min(cpu for _, cpu in runs[mode]) for mode in MODES}
-    cpu = {mode: [c for _, c in runs[mode]] for mode in MODES}
-
+                ))
+    cpu = {
+        mode: [load.cpu / requests * 1e6 for load in runs[mode]]
+        for mode in MODES
+    }
+    ratios = np.array(cpu["traced"]) / np.array(cpu["metrics"])
     report = {
         "requests": requests,
         "simulated_users": users,
         "concurrency": concurrency,
         "rounds": rounds,
-        "traced_overhead_fraction": overhead_fraction(
+        "traced_overhead_fraction": paired_overhead(
             cpu["traced"], cpu["metrics"]
         ),
+        "traced_ratio_quartiles": np.percentile(ratios, [25, 75]).tolist(),
     }
     for mode in MODES:
-        report[f"qps_{mode}"] = max(qps for qps, _ in runs[mode])
-        report[f"cpu_us_{mode}"] = best[mode]
-        report[f"cpu_us_{mode}_runs"] = [cpu for _, cpu in runs[mode]]
+        report[f"qps_{mode}"] = float(np.median(
+            [load.row()["qps"] for load in runs[mode]]
+        ))
+        report[f"cpu_us_{mode}"] = float(np.median(cpu[mode]))
+        report[f"cpu_us_{mode}_runs"] = cpu[mode]
     return report
-
-
-def overhead_fraction(instrumented: list, baseline: list) -> float:
-    """Per-request CPU overhead of ``instrumented`` over ``baseline``
-    runs of one round each: the smaller of the paired per-round median
-    delta and the delta of the per-mode minima, over the best baseline
-    run (see :func:`bench_overhead`)."""
-    deltas = sorted(on - off for on, off in zip(instrumented, baseline))
-    mid = len(deltas) // 2
-    median = (
-        deltas[mid]
-        if len(deltas) % 2
-        else (deltas[mid - 1] + deltas[mid]) / 2.0
-    )
-    floor = min(instrumented) - min(baseline)
-    return min(median, floor) / min(baseline)
 
 
 def bench_p99_agreement(store, *, requests, concurrency):
@@ -286,25 +235,13 @@ def bench_p99_agreement(store, *, requests, concurrency):
     )
     server.load_store()
     client = InProcessClient(server)
-    latencies = np.zeros(requests)
-    counter = itertools.count()
-
-    async def worker():
-        while True:
-            i = next(counter)
-            if i >= requests:
-                return
-            begin = time.perf_counter()
-            status, _ = await client.publish(
-                user=f"p{i}", n=8, alpha="1/2", true_result=3
-            )
-            latencies[i] = time.perf_counter() - begin
-            assert status == 200
-
-    async def go():
-        await asyncio.gather(*[worker() for _ in range(concurrency)])
-
-    asyncio.run(go())
+    load = asyncio.run(drive(
+        lambda _: client,
+        lambda i: {"user": f"p{i}", "n": 8, "alpha": "1/2",
+                   "true_result": 3},
+        requests=requests, concurrency=concurrency,
+    ))
+    assert load.counts() == {200: requests}, load.counts()
     # The per-deployment latency histogram observed the same requests
     # from inside the server (server-side clock, so compare shapes, not
     # identical samples: both measure the same publish round-trips).
@@ -319,7 +256,7 @@ def bench_p99_agreement(store, *, requests, concurrency):
     ]
     hist_p99 = child.quantile(0.99)
     hist_p50 = child.quantile(0.5)
-    exact_p99 = float(np.percentile(np.sort(latencies), 99))
+    exact_p99 = float(np.percentile(np.sort(load.latencies), 99))
     ratio = hist_p99 / exact_p99
     # The histogram reports the bucket's upper bound of its own
     # server-side samples; client-observed latency is >= server-side, so
@@ -354,18 +291,24 @@ def check_trace_completeness(store, *, requests):
         )
         server.load_store()
         client = InProcessClient(server)
+        traces = {}
+
+        def on_answer(i, status, body):
+            assert status == 200, status
+            traces[i] = body["trace"]
 
         async def go():
-            results = await asyncio.gather(*[
-                client.publish(
-                    user=f"t{i}", n=8, alpha="1/2", true_result=3
-                )
-                for i in range(requests)
-            ])
+            # One caller per publish: all of them are in flight at once.
+            await drive(
+                lambda _: client,
+                lambda i: {"user": f"t{i}", "n": 8, "alpha": "1/2",
+                           "true_result": 3},
+                requests=requests, concurrency=requests,
+                on_answer=on_answer,
+            )
             await server.stop()
-            return results
 
-        results = asyncio.run(go())
+        asyncio.run(go())
         tracer = server.telemetry.tracer
         spans_by_trace: dict[str, set] = {}
         records = tracer.recent(tracer.emitted)
@@ -373,20 +316,14 @@ def check_trace_completeness(store, *, requests):
             spans_by_trace.setdefault(record["trace"], set()).add(
                 record["name"]
             )
-        complete = 0
-        for status, body in results:
-            assert status == 200
-            names = spans_by_trace.get(body["trace"], set())
+        for trace in traces.values():
+            names = spans_by_trace.get(trace, set())
             assert EXPECTED_SPANS <= names, (
-                f"trace {body['trace']} missing spans: "
-                f"{EXPECTED_SPANS - names}"
+                f"trace {trace} missing spans: {EXPECTED_SPANS - names}"
             )
-            complete += 1
         # Archive a sample of real spans for the CI artifact.
         OUT_DIR.mkdir(exist_ok=True)
-        import json
-
-        sample_trace = results[0][1]["trace"]
+        sample_trace = traces[0]
         with open(OUT_DIR / "trace_sample.jsonl", "w") as handle:
             for record in reversed(records):
                 if record["trace"] == sample_trace:
@@ -395,7 +332,7 @@ def check_trace_completeness(store, *, requests):
                     )
         return {
             "requests": requests,
-            "traced": complete,
+            "traced": len(traces),
             "spans_per_trace": sorted(
                 spans_by_trace[sample_trace]
             ),
@@ -436,17 +373,22 @@ def bench_scrape_scaling(store, *, sizes, scrapes, publishes_between):
             assert status == 200
             return time.perf_counter() - t0
 
+        def request(j, k):
+            n, alpha = DEPLOYMENTS[k % len(DEPLOYMENTS)]
+            user = f"s{(j * publishes_between + k) * 7919 % size}"
+            return {"user": user, "n": n, "alpha": str(alpha),
+                    "true_result": n // 2}
+
         async def go():
             first = await scrape()
             times = []
             for j in range(scrapes):
-                for k in range(publishes_between):
-                    n, alpha = DEPLOYMENTS[k % len(DEPLOYMENTS)]
-                    user = f"s{(j * publishes_between + k) * 7919 % size}"
-                    status, _ = await client.publish(
-                        user=user, n=n, alpha=str(alpha), true_result=n // 2
-                    )
-                    assert status in (200, 429), status
+                load = await drive(
+                    lambda _: client,
+                    lambda k: request(j, k),
+                    requests=publishes_between, concurrency=1,
+                )
+                assert set(load.counts()) <= {200, 429}, load.counts()
                 times.append(await scrape())
             await server.stop()
             return first, times
@@ -512,33 +454,24 @@ def check_scrape(store):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small load for a CI smoke run"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when 1%% tracing costs more than "
+    args = parse_args(
+        argv, __doc__,
+        "exit nonzero when 1%% tracing costs more than "
         f"{TRACED_OVERHEAD_CEILING * 100:.1f}%% over the default server or "
         f"the scrape median grows more than {SCRAPE_GROWTH_CEILING:.0f}x "
         "with the user count",
     )
-    args = parser.parse_args(argv)
 
     if args.quick:
-        # Many small interleaved rounds beat few large ones: both
-        # overhead estimators (per-mode floor, paired per-round
-        # median) sharpen with more alternations — more chances at a
-        # quiet window, more noisy rounds for the median to discard.
-        requests, users, concurrency, rounds = 8_000, 10_000, 1024, 12
+        requests, users, concurrency = 8_000, 10_000, 1024
         trace_requests = 64
         scrape_sizes = SCRAPE_GROWTH_SIZES
     else:
-        requests, users, concurrency, rounds = 30_000, 10_000, 2048, 12
+        requests, users, concurrency = 30_000, 10_000, 2048
         trace_requests = 256
         scrape_sizes = SCRAPE_GROWTH_SIZES + (1_000_000,)
 
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
         store = build_store(tmp)
         overhead = bench_overhead(
@@ -546,7 +479,7 @@ def main(argv=None):
             requests=requests,
             users=users,
             concurrency=concurrency,
-            rounds=rounds,
+            rounds=OVERHEAD_ROUNDS,
         )
         agreement = bench_p99_agreement(
             store, requests=min(requests, 30_000), concurrency=concurrency
@@ -558,7 +491,7 @@ def main(argv=None):
         )
 
     results = {
-        "quick": args.quick,
+        "wall_seconds": time.perf_counter() - start,
         "deployments": [
             {"n": n, "alpha": str(alpha)} for n, alpha in DEPLOYMENTS
         ],
@@ -576,10 +509,17 @@ def main(argv=None):
     lines = ["tracing overhead on the batched serving path:"]
     lines.append(
         "  default: {cpu_us_metrics:.2f}us/req cpu "
-        "({qps_metrics:.0f} req/s)   +1% traces: {cpu_us_traced:.2f}us/req "
-        "({traced_overhead_fraction:+.1%}, ceiling "
-        "{traced_ceiling:.1%})".format(
-            traced_ceiling=TRACED_OVERHEAD_CEILING, **overhead
+        "({qps_metrics:.0f} req/s)   +1% traces: {cpu_us_traced:.2f}us/req"
+        .format(**overhead)
+    )
+    lines.append(
+        "  traced/default per round: paired median "
+        "{traced_overhead_fraction:+.1%} over {rounds} rounds, quartiles "
+        "{q1:.3f}-{q3:.3f} (ceiling {traced_ceiling:+.1%})".format(
+            traced_ceiling=TRACED_OVERHEAD_CEILING,
+            q1=overhead["traced_ratio_quartiles"][0],
+            q3=overhead["traced_ratio_quartiles"][1],
+            **overhead,
         )
     )
     lines.append(
@@ -614,8 +554,9 @@ def main(argv=None):
             ceiling=SCRAPE_GROWTH_CEILING,
         )
     )
+    lines.append(f"  wall time: {results['wall_seconds']:.0f}s")
     emit("observability", "\n".join(lines))
-    emit_bench("observability", results)
+    emit_bench("observability", results, quick=args.quick)
 
     if args.check:
         failures = []

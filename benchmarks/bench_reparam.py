@@ -31,13 +31,12 @@ warm-cache assertions only). Emits a ``BENCH {json}`` line, writes
 ``benchmarks/out/BENCH_reparam.json``, and archives a report.
 """
 
-import argparse
 import sys
 import tempfile
 import time
 from fractions import Fraction
 
-from _report import emit, emit_bench
+from _report import emit, emit_bench, parse_args
 
 from repro.analysis.sweeps import universality_sweep
 from repro.core.optimal import build_optimal_lp, factor_space_candidate
@@ -169,18 +168,12 @@ def bench_warm_cache(quick):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small sizes for a CI smoke run"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when full-mode speedup targets are missed "
+    args = parse_args(
+        argv, __doc__,
+        "exit nonzero when full-mode speedup targets are missed "
         "(quick mode still enforces exactness, certificates, and the "
         "zero-solve warm cache)",
     )
-    args = parser.parse_args(argv)
 
     if not has_direct_highs():
         print(
@@ -219,7 +212,6 @@ def main(argv=None):
         "factor_solve_vs_hybrid_at_n6plus": 3.0,
     }
     results = {
-        "quick": args.quick,
         "instances": rows,
         "warm_cache_sweep": warm,
         "targets": targets,
@@ -247,7 +239,7 @@ def main(argv=None):
         "warm LP solves: {warm_lp_solves}".format(**warm)
     )
     emit("reparam", "\n".join(lines))
-    emit_bench("reparam", results)
+    emit_bench("reparam", results, quick=args.quick)
 
     if args.check and not args.quick:
         failures = []

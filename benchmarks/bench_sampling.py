@@ -35,14 +35,13 @@ only). Emits a ``BENCH {json}`` line and writes
 ``benchmarks/out/BENCH_sampling.json``.
 """
 
-import argparse
 import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from _report import emit, emit_bench
+from _report import emit, emit_bench, parse_args
 
 from repro.core.geometric import cached_geometric_mechanism, geometric_matrix
 from repro.sampling.alias import HeterogeneousAliasSampler
@@ -219,18 +218,12 @@ def bench_heterogeneous(batch, repeats):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small batches for a CI smoke run"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when the full-mode throughput floor "
+    args = parse_args(
+        argv, __doc__,
+        "exit nonzero when the full-mode throughput floor "
         "(>= 1e7 alias samples/sec) is missed; quick mode still "
         "enforces bit-exactness and the statistical assertions",
     )
-    args = parser.parse_args(argv)
 
     if args.quick:
         batch, repeats, draws_per_row = 200_000, 3, 120_000
@@ -246,7 +239,6 @@ def main(argv=None):
     heterogeneous = bench_heterogeneous(batch, repeats)
 
     results = {
-        "quick": args.quick,
         "exactness": exactness,
         "statistics": statistics,
         "throughput": throughput,
@@ -279,7 +271,7 @@ def main(argv=None):
         "{worst_total_variation_gap:.4f} (asserted)".format(**statistics)
     )
     emit("sampling", "\n".join(lines))
-    emit_bench("sampling", results)
+    emit_bench("sampling", results, quick=args.quick)
 
     if args.check and not args.quick:
         failures = [

@@ -33,6 +33,8 @@ Correctness is asserted in every mode (``--quick`` included):
   ``alpha=1/2``, kernel actually serves ``alpha=7/8``) while leaving
   the honest deployments unflagged.
 
+Every load runs through :func:`_serving.drive`.
+
 Standalone: ``PYTHONPATH=src:benchmarks python benchmarks/bench_serving.py``
 (``--quick`` for a CI smoke run; ``--check`` enforces the throughput
 floor — **>= 1e4 batched requests/sec** — in quick mode too, plus all
@@ -40,21 +42,18 @@ of the assertions above). Emits a ``BENCH {json}`` line and writes
 ``benchmarks/out/BENCH_serving.json``.
 """
 
-import argparse
 import asyncio
-import itertools
 import sys
 import tempfile
-import time
 from fractions import Fraction
 
 import numpy as np
 
-from _report import emit, emit_bench
+from _report import emit, emit_bench, parse_args
+from _serving import DEPLOYMENTS, build_store, drive, mixed
 
 from repro.release.artifacts import (
     ArtifactSpec,
-    ArtifactStore,
     MechanismArtifact,
     compile_artifact,
 )
@@ -63,51 +62,6 @@ from repro.serving import HTTPServingClient, InProcessClient, MechanismServer
 #: Acceptance floor (enforced by ``--check`` even in quick mode): the
 #: micro-batched in-process serving path must sustain this request rate.
 SERVED_QPS_FLOOR = 1e4
-
-#: The deployment mix every load run cycles through (mixed n and alpha,
-#: so each flush exercises the fused heterogeneous gather).
-DEPLOYMENTS = [
-    (8, Fraction(1, 2)),
-    (40, Fraction(1, 4)),
-    (100, Fraction(2, 3)),
-]
-
-
-def build_store(path) -> ArtifactStore:
-    store = ArtifactStore(path)
-    for n, alpha in DEPLOYMENTS:
-        store.get_or_compile(ArtifactSpec("geometric", n, alpha))
-    return store
-
-
-async def drive(server, *, requests, users, concurrency):
-    """Drive ``requests`` publishes through ``concurrency`` workers.
-
-    Returns wall seconds, per-request latencies, and status counts.
-    """
-    client = InProcessClient(server)
-    latencies = np.zeros(requests)
-    statuses: dict[int, int] = {}
-    counter = itertools.count()
-    mix = [(n, str(alpha), n // 2) for n, alpha in DEPLOYMENTS]
-
-    async def worker():
-        while True:
-            i = next(counter)
-            if i >= requests:
-                return
-            n, alpha, row = mix[i % len(mix)]
-            begin = time.perf_counter()
-            status, _ = await client.publish(
-                user=f"u{i % users}", n=n, alpha=alpha, true_result=row
-            )
-            latencies[i] = time.perf_counter() - begin
-            statuses[status] = statuses.get(status, 0) + 1
-
-    start = time.perf_counter()
-    await asyncio.gather(*[worker() for _ in range(concurrency)])
-    wall = time.perf_counter() - start
-    return wall, latencies, statuses
 
 
 def bench_load(store, *, requests, users, concurrency, window):
@@ -123,24 +77,24 @@ def bench_load(store, *, requests, users, concurrency, window):
     server.load_store()
     assert all(d.verification.ok for d in server.deployments)
     compiles_before = store.stats["compiles"]
-    wall, latencies, statuses = asyncio.run(
-        drive(server, requests=requests, users=users, concurrency=concurrency)
-    )
+    client = InProcessClient(server)
+    load = asyncio.run(drive(
+        lambda _: client, mixed(users),
+        requests=requests, concurrency=concurrency,
+    ))
     assert store.stats["compiles"] == compiles_before, (
         "the request path must never compile (zero-solve serving)"
     )
-    assert statuses == {200: requests}, f"unexpected statuses: {statuses}"
+    assert load.counts() == {200: requests}, (
+        f"unexpected statuses: {load.counts()}"
+    )
     assert server.metrics["published"] == requests
     stats = server.batcher.stats
     return {
-        "requests": requests,
+        **load.row(),
         "simulated_users": users,
         "concurrency": concurrency,
         "batch_window_seconds": window,
-        "wall_seconds": wall,
-        "qps": requests / wall,
-        "latency_p50_ms": float(np.percentile(latencies, 50)) * 1e3,
-        "latency_p99_ms": float(np.percentile(latencies, 99)) * 1e3,
         "batches": stats["batches"],
         "mean_batch": stats["queries"] / max(stats["batches"], 1),
         "max_batch": stats["max_batch"],
@@ -157,16 +111,15 @@ def check_ledger_floor(store):
     )
     server.load_store()
     client = InProcessClient(server)
-
-    async def go():
-        return await asyncio.gather(*[
-            client.publish(user="racer", n=8, alpha="1/2", true_result=4)
-            for _ in range(5 * K)
-        ])
-
-    results = asyncio.run(go())
-    granted = sum(1 for status, _ in results if status == 200)
-    rejected = sum(1 for status, _ in results if status == 429)
+    # One caller per racer: all 5K publishes are in flight at once.
+    load = asyncio.run(drive(
+        lambda _: client,
+        lambda i: {"user": "racer", "n": 8, "alpha": "1/2",
+                   "true_result": 4},
+        requests=5 * K, concurrency=5 * K,
+    ))
+    counts = load.counts()
+    granted, rejected = counts.get(200, 0), counts.get(429, 0)
     assert granted == K, (
         f"floor alpha^{K} must admit exactly {K} concurrent releases, "
         f"admitted {granted}"
@@ -207,21 +160,13 @@ def check_audit_catches_tamper(store, *, requests):
     )
     server.load_artifact(forged, verify=False)
     client = InProcessClient(server)
-    rng = np.random.default_rng(43)
-    rows = rng.integers(0, 7, size=requests)
-
-    async def go():
-        for start in range(0, requests, 512):
-            chunk = rows[start:start + 512]
-            await asyncio.gather(*[
-                client.publish(
-                    user=f"t{start + j}", n=6, alpha="1/2",
-                    true_result=int(row),
-                )
-                for j, row in enumerate(chunk)
-            ])
-
-    asyncio.run(go())
+    rows = np.random.default_rng(43).integers(0, 7, size=requests)
+    asyncio.run(drive(
+        lambda _: client,
+        lambda i: {"user": f"t{i}", "n": 6, "alpha": "1/2",
+                   "true_result": int(rows[i])},
+        requests=requests, concurrency=512,
+    ))
     findings = server.audit()
     by_key = {f.key: f for f in findings}
     tampered = by_key[forged_spec.key()]
@@ -255,40 +200,34 @@ def bench_http_smoke(store, *, requests):
         await server.start(port=0)
         client = HTTPServingClient("127.0.0.1", server.port)
         try:
-            start = time.perf_counter()
-            for i in range(requests):
-                status, _ = await client.publish(
-                    user=f"h{i}", n=8, alpha="1/2", true_result=3
-                )
-                assert status == 200
-            wall = time.perf_counter() - start
+            load = await drive(
+                lambda _: HTTPServingClient("127.0.0.1", server.port),
+                lambda i: {"user": f"h{i}", "n": 8, "alpha": "1/2",
+                           "true_result": 3},
+                requests=requests, concurrency=1,
+            )
             status, health = await client.get("/healthz")
             assert status == 200 and health["status"] == "ok"
         finally:
             await client.close()
             await server.stop()
-        return wall
+        return load
 
-    wall = asyncio.run(go())
+    load = asyncio.run(go())
+    assert load.counts() == {200: requests}, load.counts()
     return {
         "requests": requests,
-        "wall_seconds": wall,
-        "http_round_trips_per_second": requests / wall,
+        "wall_seconds": load.wall,
+        "http_round_trips_per_second": requests / load.wall,
     }
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small load for a CI smoke run"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when the batched serving floor "
+    args = parse_args(
+        argv, __doc__,
+        "exit nonzero when the batched serving floor "
         "(>= 1e4 requests/sec) is missed — enforced in quick mode too",
     )
-    args = parser.parse_args(argv)
 
     if args.quick:
         scales = [(10_000, 30_000)]
@@ -321,7 +260,6 @@ def main(argv=None):
         http = bench_http_smoke(store, requests=http_requests)
 
     results = {
-        "quick": args.quick,
         "deployments": [
             {"n": n, "alpha": str(alpha)} for n, alpha in DEPLOYMENTS
         ],
@@ -366,7 +304,7 @@ def main(argv=None):
         "{http_round_trips_per_second:.0f} round-trips/s".format(**http)
     )
     emit("serving", "\n".join(lines))
-    emit_bench("serving", results)
+    emit_bench("serving", results, quick=args.quick)
 
     if args.check:
         failures = [

@@ -14,6 +14,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from ..exceptions import ValidationError
 from ..release.durable_ledger import FSYNC_MODES
@@ -128,6 +129,8 @@ class ServerConfig:
         for name in ("ledger_dir", "trace_dir"):
             if getattr(self, name) is not None:
                 _set(name, os.fspath(getattr(self, name)))
+        if self.ledger_dir is not None:
+            _check_ledger_dir(self.ledger_dir)
         if self.ledger_fsync not in FSYNC_MODES:
             raise ValidationError(
                 f"ledger_fsync must be one of {FSYNC_MODES}, got "
@@ -168,3 +171,22 @@ class ServerConfig:
 
 
 _FIELDS = frozenset(field.name for field in dataclasses.fields(ServerConfig))
+
+
+def _check_ledger_dir(value: str) -> None:
+    """Refuse a ledger path that is, or lies under, something not a
+    directory.
+
+    The ledger creates its directory on open; a regular file in the way
+    would fail there, in every fleet worker, with a traceback.
+    """
+    path = Path(value).expanduser()
+    for candidate in (path, *path.parents):
+        if candidate.is_dir():
+            return
+        if os.path.lexists(candidate):
+            raise ValidationError(
+                f"ledger_dir {value} is not a directory" if candidate == path
+                else f"ledger_dir {value} is under {candidate}, which is "
+                "not a directory"
+            )

@@ -387,6 +387,46 @@ class TestServeCommand:
         assert "absolute privacy" in capsys.readouterr().err
         assert not (tmp_path / "ledger").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_serve_refuses_a_ledger_dir_that_is_not_a_directory(
+        self, capsys, monkeypatch, tmp_path, workers, under_file
+    ):
+        from repro.serving import supervisor
+
+        spawned = []
+
+        class Recorder:
+            port = 0
+
+            def __init__(self, worker_config, **kwargs):
+                spawned.append(worker_config)
+
+            def start(self):
+                pass
+
+            def run(self, **kwargs):
+                pass
+
+            def status(self):
+                return {"slots": [], "stats": {
+                    "spawns": 0, "restarts": 0, "heartbeat_kills": 0,
+                }}
+
+        monkeypatch.setattr(supervisor, "ServingSupervisor", Recorder)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        ledger = afile / "sub" if under_file else afile
+        assert main([
+            "serve", "--store", str(tmp_path / "store"), "--port", "0",
+            "--ledger-dir", str(ledger), "--workers", workers,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ledger) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not spawned
+        assert not (tmp_path / "store").exists()
+
     def test_every_serve_flag_default_is_its_config_field(self):
         from repro.serving.config import ServerConfig
 
