@@ -199,9 +199,10 @@ def check_recovered_ledger(ledger_dir, load, request, *, exact) -> dict:
 def paired_overhead(instrumented, baseline) -> float:
     """The overhead of ``instrumented`` over ``baseline`` CPU per request.
 
-    Element ``r`` of each list comes from round ``r``, whose two runs ran
-    back to back. The rule is the median over rounds of the per-round
-    ratio ``instrumented / baseline``, minus 1. A round's ratio cancels
+    Element ``r`` of each list comes from round ``r``, which measured
+    both at the same time (interleaved, or back to back). The rule is
+    the median over rounds of the per-round ratio
+    ``instrumented / baseline``, minus 1. A round's ratio cancels
     whatever the machine's speed was during that round, so drift between
     rounds cannot move the verdict, and the median ignores the rounds a
     co-tenant disturbed. (The minimum of each mode has neither property:

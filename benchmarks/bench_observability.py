@@ -9,10 +9,11 @@ hard ceiling on what tracing adds and checks what the default reports:
   sampling to a JSONL sink (the opt-in ``--trace-rate 0.01``
   configuration) over the default server on the micro-batched
   in-process serving path. :data:`OVERHEAD_ROUNDS` warmed-up rounds
-  each run the same load once per mode, back to back, with the mode
-  order alternated each round; the overhead is the median over rounds
-  of the per-round traced/default ratio of ``process_time`` per
-  request, minus 1 (:func:`_serving.paired_overhead`). ``--check``
+  each serve the same load once per mode, interleaved in halves
+  (A, B, B, A, with the first mode alternated each round); the overhead
+  is the median over rounds of the per-round traced/default ratio of
+  ``process_time`` per request, minus 1
+  (:func:`_serving.paired_overhead`). ``--check``
   fails above :data:`TRACED_OVERHEAD_CEILING` (**~9.5%**).
 * ``p99_agreement`` — the log-bucketed histogram's p99 versus the
   exact sorted-array p99 of the same latency samples. The histogram
@@ -76,10 +77,11 @@ from repro.serving import InProcessClient, MechanismServer
 TRACED_OVERHEAD_CEILING = 1.15 / 1.05 - 1
 
 #: Paired rounds behind the overhead verdict. Ten back-to-back quick runs
-#: on a 2-core box gave 360 per-round ratios with median 1.02 and
-#: quartiles 0.935-1.100. Resampled, their median over 12 rounds crosses
-#: the ceiling in 3.3% of unchanged-tree runs and over 36 rounds in
-#: 0.07%, while 36 rounds with every ratio 0.10 higher cross it in 89%.
+#: on a 2-core box gave 360 per-round ratios with median 1.027 and
+#: quartiles 0.984-1.073. Resampled, their median over 12 rounds crosses
+#: the ceiling in 0.55% of unchanged-tree runs and over 36 rounds in
+#: none of 50,000, while 36 rounds with every ratio 0.10 higher cross it
+#: in 99.6%.
 OVERHEAD_ROUNDS = 36
 
 #: ``--check`` fails when the median scrape at the larger of these user
@@ -105,107 +107,125 @@ EXPECTED_SPANS = {
 MODES = ("metrics", "traced")
 
 
-def one_run(store, *, mode, trace_dir, requests, users, concurrency):
-    """One warmed-up load run with cyclic GC parked; returns its Load.
+def one_round(store, *, first, trace_dir, requests, users, concurrency):
+    """One paired round; returns ``{mode: (cpu_seconds, wall_seconds)}``.
 
     The measured path is the production serving shape: a durable
-    group-commit ledger (fresh WAL per run) under the micro-batcher, so
-    every mode pays for real charge journaling and the traced mode
-    exercises the full span vocabulary including ``wal.append`` /
-    ``wal.fsync``. Asserts every request succeeded. The CPU figure
-    (``time.process_time`` over the load) is what the overhead check
-    compares: telemetry cost is CPU work, and process CPU time is
-    robust to the tens-of-percent wall-clock swings a noisy shared
-    host injects into back-to-back runs.
+    group-commit ledger (a fresh WAL per server) under the
+    micro-batcher, so both modes pay for real charge journaling and the
+    traced mode exercises the full span vocabulary including
+    ``wal.append`` / ``wal.fsync``. Both modes' servers are live at once;
+    each is warmed up, and then each serves ``requests`` measured
+    publishes in two halves, in the order ``first``, other, other,
+    ``first``, so a change in the machine's speed during the round lands
+    on both modes alike. Asserts every request succeeded. The CPU figure
+    (``time.process_time`` over the measured halves) is what the
+    overhead check compares: telemetry cost is CPU work, and process CPU
+    time is robust to the tens-of-percent wall-clock swings a noisy
+    shared host injects into back-to-back runs.
     """
-    with tempfile.TemporaryDirectory(prefix="bench-obs-wal-") as ledger:
-        kwargs = dict(
-            ledger_dir=ledger, ledger_fsync="group",
-            batch_window=0.001, audit_rate=0.0, seed=23,
-        )
-        if mode == "traced":
-            kwargs.update(
-                trace_rate=0.01, trace_dir=trace_dir, trace_seed=7
+    warmup, half = max(1000, requests // 10), requests // 2
+    request = mixed(users)
+    with tempfile.TemporaryDirectory(prefix="bench-obs-wal-") as ledgers:
+        clients = {}
+        for mode in MODES:
+            kwargs = dict(
+                ledger_dir=f"{ledgers}/{mode}", ledger_fsync="group",
+                batch_window=0.001, audit_rate=0.0, seed=23,
             )
-        server = MechanismServer(store, **kwargs)
-        server.load_store()
-        # A scraped server keeps its budget-burn aggregates current on
-        # every charge; scrape once so the load pays for that.
-        server.telemetry.registry.render()
-        client = InProcessClient(server)
-        warmup = max(1000, requests // 10)
+            if mode == "traced":
+                kwargs.update(
+                    trace_rate=0.01, trace_dir=trace_dir, trace_seed=7
+                )
+            server = MechanismServer(store, **kwargs)
+            server.load_store()
+            # A scraped server keeps its budget-burn aggregates current
+            # on every charge; scrape once so the load pays for that.
+            server.telemetry.registry.render()
+            clients[mode] = InProcessClient(server)
+        (other,) = set(MODES) - {first}
 
         async def go():
-            # Untimed pre-load on this exact server: warms the adaptive
-            # interpreter's caches for the mode-specific code paths so
-            # the measured load does not pay first-iterations costs.
-            await drive(
-                lambda _: client, mixed(users),
-                requests=warmup, concurrency=concurrency,
-            )
+            # Untimed pre-loads on these exact servers: warm the
+            # adaptive interpreter's caches for the mode-specific code
+            # paths so the measured halves do not pay first-iterations
+            # costs.
+            for mode in MODES:
+                await drive(
+                    lambda _: clients[mode], request,
+                    requests=warmup, concurrency=concurrency,
+                )
             # Cyclic GC fires by allocation count, so *when* it lands
-            # inside the measured window is luck — and each pass scans
-            # the ~concurrency parked tasks, which swamps a few-percent
-            # effect. Park it for the bounded measured load;
+            # inside a measured half is luck — and each pass scans the
+            # ~concurrency parked tasks, which swamps a few-percent
+            # effect. Park it for the bounded measured halves;
             # refcounting still reclaims acyclic garbage.
+            loads = {mode: [] for mode in MODES}
             gc.collect()
             gc.disable()
             try:
-                return await drive(
-                    lambda _: client, mixed(users),
-                    requests=requests, concurrency=concurrency,
-                )
+                for mode in (first, other, other, first):
+                    offset = half * len(loads[mode])
+                    loads[mode].append(await drive(
+                        lambda _: clients[mode],
+                        lambda i: request(offset + i),
+                        requests=half, concurrency=concurrency,
+                    ))
             finally:
                 gc.enable()
+            return loads
 
-        gc.collect()  # start every run from the same heap state
-        load = asyncio.run(go())
-        assert load.counts() == {200: requests}, (
-            f"unexpected statuses: {load.counts()}"
-        )
-        snapshot = server.telemetry.registry.snapshot()
-        published = sum(
-            value
-            for labels, value in snapshot["repro_requests_total"][
-                "series"
-            ].items()
-            if labels.startswith("publish,")
-        )
-        assert published == requests + warmup
-        server.telemetry.close()
-    return load
+        gc.collect()  # start every round from the same heap state
+        loads = asyncio.run(go())
+        for mode, client in clients.items():
+            for load in loads[mode]:
+                assert load.counts() == {200: half}, (
+                    f"unexpected statuses: {load.counts()}"
+                )
+            snapshot = client.server.telemetry.registry.snapshot()
+            published = sum(
+                value
+                for labels, value in snapshot["repro_requests_total"][
+                    "series"
+                ].items()
+                if labels.startswith("publish,")
+            )
+            assert published == requests + warmup
+            client.server.telemetry.close()
+    return {
+        mode: (sum(load.cpu for load in loads[mode]),
+               sum(load.wall for load in loads[mode]))
+        for mode in MODES
+    }
 
 
 def bench_overhead(store, *, requests, users, concurrency, rounds):
     """Paired metrics/traced rounds; the overhead by
     :func:`_serving.paired_overhead`.
 
-    A discarded warmup run absorbs cold-start effects (allocator and
-    code-path warmup). Each round runs both modes back to back, so their
-    ratio cancels the drift a busy host shows across a run, and rotating
-    which mode goes first each round cancels any order effect within a
-    round. The median over rounds discards the rounds a co-tenant
-    disturbed.
+    A discarded warmup round absorbs cold-start effects (allocator and
+    code-path warmup). Each round measures both modes interleaved (see
+    :func:`one_round`), so their ratio cancels the speed the machine had
+    during that round, and which mode goes first alternates between
+    rounds. The median over rounds discards the rounds a co-tenant
+    disturbed anyway.
     """
     runs: dict[str, list] = {mode: [] for mode in MODES}
     with tempfile.TemporaryDirectory(prefix="bench-obs-trace-") as traces:
-        one_run(  # warmup, discarded
-            store, mode="metrics", trace_dir=None,
-            requests=requests, users=users, concurrency=concurrency,
-        )
-        for round_index in range(rounds):
-            offset = round_index % len(MODES)
-            for mode in MODES[offset:] + MODES[:offset]:
-                runs[mode].append(one_run(
-                    store,
-                    mode=mode,
-                    trace_dir=traces if mode == "traced" else None,
-                    requests=requests,
-                    users=users,
-                    concurrency=concurrency,
-                ))
+        for round_index in range(rounds + 1):
+            result = one_round(
+                store,
+                first=MODES[round_index % len(MODES)],
+                trace_dir=traces,
+                requests=requests,
+                users=users,
+                concurrency=concurrency,
+            )
+            if round_index:  # round 0 is the discarded warmup
+                for mode in MODES:
+                    runs[mode].append(result[mode])
     cpu = {
-        mode: [load.cpu / requests * 1e6 for load in runs[mode]]
+        mode: [seconds / requests * 1e6 for seconds, _ in runs[mode]]
         for mode in MODES
     }
     ratios = np.array(cpu["traced"]) / np.array(cpu["metrics"])
@@ -221,7 +241,7 @@ def bench_overhead(store, *, requests, users, concurrency, rounds):
     }
     for mode in MODES:
         report[f"qps_{mode}"] = float(np.median(
-            [load.row()["qps"] for load in runs[mode]]
+            [requests / wall for _, wall in runs[mode]]
         ))
         report[f"cpu_us_{mode}"] = float(np.median(cpu[mode]))
         report[f"cpu_us_{mode}_runs"] = cpu[mode]
