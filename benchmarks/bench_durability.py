@@ -57,9 +57,7 @@ DURABLE_QPS_FLOOR = 5e3
 
 def serve_load(store, *, requests, users, concurrency, seed, **ledger):
     """One loaded run, then a graceful stop; every request must 200."""
-    server = MechanismServer(
-        store, batch_window=0.001, audit_rate=0.0, seed=seed, **ledger
-    )
+    server = MechanismServer(store, audit_rate=0.0, seed=seed, **ledger)
     server.load_store()
     client = InProcessClient(server)
     load = asyncio.run(drive(

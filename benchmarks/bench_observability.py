@@ -131,7 +131,7 @@ def one_round(store, *, first, trace_dir, requests, users, concurrency):
         for mode in MODES:
             kwargs = dict(
                 ledger_dir=f"{ledgers}/{mode}", ledger_fsync="group",
-                batch_window=0.001, audit_rate=0.0, seed=23,
+                audit_rate=0.0, seed=23,
             )
             if mode == "traced":
                 kwargs.update(
@@ -250,9 +250,7 @@ def bench_overhead(store, *, requests, users, concurrency, rounds):
 
 def bench_p99_agreement(store, *, requests, concurrency):
     """Histogram p99 vs exact sorted p99 of the same latency samples."""
-    server = MechanismServer(
-        store, batch_window=0.001, audit_rate=0.0, seed=29
-    )
+    server = MechanismServer(store, audit_rate=0.0, seed=29)
     server.load_store()
     client = InProcessClient(server)
     load = asyncio.run(drive(
@@ -303,7 +301,6 @@ def check_trace_completeness(store, *, requests):
             store,
             ledger_dir=ledger,
             ledger_fsync="group",
-            batch_window=0.001,
             audit_rate=0.0,
             seed=31,
             trace_rate=1.0,
@@ -379,8 +376,7 @@ def bench_scrape_scaling(store, *, sizes, scrapes, publishes_between):
         for i in range(size):
             book.charge(f"s{i}", DEPLOYMENTS[i % len(DEPLOYMENTS)][1])
         server = MechanismServer(
-            store, ledger=book, floor=floor, batch_window=0.001,
-            audit_rate=0.0, seed=41,
+            store, ledger=book, floor=floor, audit_rate=0.0, seed=41,
         )
         server.load_store()
         client = InProcessClient(server)
@@ -436,9 +432,7 @@ def bench_scrape_scaling(store, *, sizes, scrapes, publishes_between):
 
 def check_scrape(store):
     """The Prometheus exposition parses and carries the key families."""
-    server = MechanismServer(
-        store, batch_window=0.001, audit_rate=0.0, seed=37
-    )
+    server = MechanismServer(store, audit_rate=0.0, seed=37)
     server.load_store()
     client = InProcessClient(server)
 

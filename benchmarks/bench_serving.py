@@ -16,7 +16,7 @@ pipeline itself — batcher, ledger, fused gather, audit hook — not TCP):
 
 * ``served_qps`` — end-to-end requests/sec with micro-batching, at
   10k-1M simulated users, with p50/p99 request latency;
-* ``unbatched_qps`` — the same load with ``batch_window=0`` (every
+* ``unbatched_qps`` — the same load with ``batch_max=1`` (every
   query is its own gather), the baseline micro-batching is measured
   against;
 * ``http_round_trips_per_second`` — a small keep-alive HTTP/1.1 smoke
@@ -64,15 +64,15 @@ from repro.serving import HTTPServingClient, InProcessClient, MechanismServer
 SERVED_QPS_FLOOR = 1e4
 
 
-def bench_load(store, *, requests, users, concurrency, window):
+def bench_load(store, *, requests, users, concurrency, **batching):
     """One load run; asserts the zero-solve and all-200 invariants."""
     server = MechanismServer(
         store,
-        batch_window=window,
         audit_rate=0.02,
         audit_every=64,
         seed=23,
         audit_seed=29,
+        **batching,
     )
     server.load_store()
     assert all(d.verification.ok for d in server.deployments)
@@ -94,7 +94,7 @@ def bench_load(store, *, requests, users, concurrency, window):
         **load.row(),
         "simulated_users": users,
         "concurrency": concurrency,
-        "batch_window_seconds": window,
+        "batch_max": server.config.batch_max,
         "batches": stats["batches"],
         "mean_batch": stats["queries"] / max(stats["batches"], 1),
         "max_batch": stats["max_batch"],
@@ -106,9 +106,7 @@ def check_ledger_floor(store):
     """Concurrent racers on one user admit exactly K = log_alpha(floor)."""
     K = 8
     alpha = Fraction(1, 2)
-    server = MechanismServer(
-        store, floor=alpha**K, batch_window=0.001, audit_rate=0.0, seed=31
-    )
+    server = MechanismServer(store, floor=alpha**K, audit_rate=0.0, seed=31)
     server.load_store()
     client = InProcessClient(server)
     # One caller per racer: all 5K publishes are in flight at once.
@@ -141,7 +139,6 @@ def check_audit_catches_tamper(store, *, requests):
     """The online audit flags a kernel tampered after verification."""
     server = MechanismServer(
         store,
-        batch_window=0.001,
         audit_rate=1.0,
         audit_every=8,
         seed=37,
@@ -191,9 +188,7 @@ def check_audit_catches_tamper(store, *, requests):
 
 def bench_http_smoke(store, *, requests):
     """Keep-alive HTTP/1.1 round-trips over a real socket."""
-    server = MechanismServer(
-        store, batch_window=0.0005, audit_rate=0.0, seed=47
-    )
+    server = MechanismServer(store, audit_rate=0.0, seed=47)
     server.load_store()
 
     async def go():
@@ -244,7 +239,6 @@ def main(argv=None):
                 requests=requests,
                 users=users,
                 concurrency=concurrency,
-                window=0.001,
             )
             for users, requests in scales
         ]
@@ -253,7 +247,7 @@ def main(argv=None):
             requests=scales[0][1],
             users=scales[0][0],
             concurrency=concurrency,
-            window=0.0,
+            batch_max=1,
         )
         ledger = check_ledger_floor(store)
         audit = check_audit_catches_tamper(store, requests=audit_requests)
@@ -280,7 +274,7 @@ def main(argv=None):
             .format(**row)
         )
     lines.append(
-        "  unbatched baseline (window=0):       {qps:10.0f} req/s  "
+        "  unbatched baseline (batch_max=1):    {qps:10.0f} req/s  "
         "p50={latency_p50_ms:6.2f}ms p99={latency_p99_ms:6.2f}ms".format(
             **unbatched
         )

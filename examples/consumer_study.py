@@ -120,9 +120,7 @@ async def serve_study(n, alphas) -> None:
         for spec in specs:
             store.get_or_compile(spec)
 
-        server = MechanismServer(
-            store, batch_window=0.001, audit_rate=0.1, seed=7
-        )
+        server = MechanismServer(store, audit_rate=0.1, seed=7)
         loaded = server.load_store()
         print(f"pre-warmed and loaded {loaded} verified deployments")
 

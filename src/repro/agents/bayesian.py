@@ -250,7 +250,7 @@ def bayesian_optimal_mechanism(
     solution = cache.get_key(key) if cache is not None else None
     if solution is None:
         if backend is None:
-            backend = choose_backend(exact=exact, size_hint=program.num_vars)
+            backend = choose_backend(exact=exact)
         solution = backend.solve(program)
         if cache is not None:
             cache.put_key(key, solution)

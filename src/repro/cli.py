@@ -315,11 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     setting(
         "batch_window", type=float,
-        help="micro-batch deadline in seconds (0 disables batching)",
+        help="seconds a batch stays open after its first query; 0 "
+        "closes it at the end of the event-loop turn",
     )
     setting(
         "batch_max", type=int,
-        help="micro-batch size bound (flush immediately at this size)",
+        help="micro-batch size bound (1 turns batching off)",
     )
     setting(
         "audit_rate", type=float,

@@ -163,7 +163,7 @@ def optimal_interaction(
     solution = cache.get_key(key) if cache is not None else None
     if solution is None:
         if backend is None:
-            backend = choose_backend(exact=exact, size_hint=num_vars)
+            backend = choose_backend(exact=exact)
         solution = backend.solve(program)
         if cache is not None:
             cache.put_key(key, solution)

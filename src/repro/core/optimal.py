@@ -370,7 +370,7 @@ def optimal_mechanism(
     solution = cache.get_key(key) if cache is not None else None
     if solution is None:
         if backend is None:
-            backend = choose_backend(exact=exact, size_hint=program.num_vars)
+            backend = choose_backend(exact=exact)
         if refine:
             primary = None
             if space == "factor" and exact:

@@ -89,7 +89,7 @@ def random_private_mechanism(
         coefficients = list(rng.integers(-50, 51, size * size) / 7.0)
     program = dp_polytope_lp(n, alpha, coefficients)
     if backend is None:
-        backend = choose_backend(exact=exact, size_hint=program.num_vars)
+        backend = choose_backend(exact=exact)
     solution = backend.solve(program)
     matrix = np.empty((size, size), dtype=object if exact else float)
     for i in range(size):

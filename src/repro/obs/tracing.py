@@ -54,7 +54,7 @@ import threading
 import time
 from collections import deque
 
-from ..exceptions import ValidationError
+from ..validation import check_setting
 
 __all__ = [
     "NOOP_SPAN",
@@ -222,16 +222,15 @@ class Tracer:
         ring: int = 1024,
         seed: int | None = None,
     ) -> None:
-        rate = float(rate)
-        if not 0.0 <= rate <= 1.0:
-            raise ValidationError(f"trace rate must be in [0, 1], got {rate}")
-        self.rate = rate
+        self.rate = check_setting("trace_rate", float(rate))
         self.directory = None if directory is None else os.fspath(directory)
         self._rng = random.Random(seed)
         #: Bound RNG draw, exposed so hot paths can inline the sampling
         #: coin (``tracer.coin() < tracer.rate``) without a Python call.
         self.coin = self._rng.random
-        self._ring: deque = deque(maxlen=int(ring))
+        self._ring: deque = deque(
+            maxlen=int(check_setting("trace_ring", ring))
+        )
         self._lock = threading.Lock()
         self._file: io.TextIOBase | None = None
         self._unwritten: list = []

@@ -39,6 +39,7 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..sampling.geometric import two_sided_geometric_pmf
 from ..sampling.rng import ensure_generator
+from ..validation import check_setting
 
 __all__ = ["AuditFinding", "OnlineAuditor", "expected_response_matrix"]
 
@@ -130,15 +131,13 @@ class OnlineAuditor:
         sigmas: float = 10.0,
         rng=None,
     ) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValidationError(f"audit rate must be in [0, 1], got {rate}")
+        self.rate = float(check_setting("audit_rate", rate))
         if min_samples < 1:
             raise ValidationError(
                 f"min_samples must be >= 1, got {min_samples}"
             )
         if sigmas <= 0:
             raise ValidationError(f"sigmas must be > 0, got {sigmas}")
-        self.rate = float(rate)
         self.min_samples = int(min_samples)
         self.sigmas = float(sigmas)
         self._rng = ensure_generator(rng)

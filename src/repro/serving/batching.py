@@ -10,13 +10,15 @@ futures while their ``(table, row)`` pairs accumulate, and the batch is
 executed as one gather when either
 
 * the **size bound** is hit (``max_size`` pending queries), or
-* the **deadline** fires (``window`` seconds after the first query of
-  the batch arrived — a latency bound, not a throughput tax: an idle
-  batcher schedules nothing).
+* the **deadline** fires: one timer, ``window`` seconds after the first
+  query of the batch parked. With the default ``window`` of 0 that is
+  the end of the event-loop turn in which it parked, so every query
+  that parked in the same turn shares the gather and none waits for a
+  clock. An idle batcher schedules nothing.
 
-``window <= 0`` or ``max_size == 1`` degenerates to unbatched execution
-(every query is its own gather), which is exactly the baseline
-``benchmarks/bench_serving.py`` measures micro-batching against.
+``max_size == 1`` is the one unbatched mode (every query is its own
+gather), the baseline ``benchmarks/bench_serving.py`` measures
+micro-batching against.
 
 The executor callback is synchronous and must never block the loop for
 long — the intended executor is a pure alias-table gather plus counter
@@ -39,17 +41,17 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ..exceptions import ValidationError
 from ..obs.metrics import LatencyLog
 from ..obs.tracing import activate_batch, deactivate_batch, span
 from ..release.durable_ledger import NO_FAULTS
+from ..validation import check_setting
 
 __all__ = ["MicroBatcher"]
 
-#: Flush reasons tracked in ``stats["flush_reasons"]``. ``manual``
-#: covers direct ``flush()`` calls (drain paths); ``immediate`` is the
-#: unbatched ``window <= 0`` mode.
-FLUSH_REASONS = ("max_size", "deadline", "immediate", "manual", "close")
+#: Flush reasons tracked in ``stats["flush_reasons"]``. ``deadline`` is
+#: the timer's flush, turn-end flushes under ``window`` 0 included;
+#: ``manual`` covers direct ``flush()`` calls (drain paths).
+FLUSH_REASONS = ("max_size", "deadline", "manual", "close")
 
 #: Batch sizes are counted per power-of-two bound 1, 2, 4, ... 16384,
 #: plus one overflow slot: a batch of ``n`` lands in slot
@@ -68,9 +70,8 @@ class MicroBatcher:
         equal-length int64 arrays, returning one output per query.
         Raising makes every query of the batch fail with that exception.
     window:
-        Deadline in seconds from the first query of a batch to its
-        flush. ``0`` disables the timer (every query flushes itself —
-        the unbatched mode).
+        Seconds a batch stays open after its first query; ``0`` closes
+        it at the end of the event-loop turn in which that query parked.
     max_size:
         Flush immediately once this many queries are pending.
 
@@ -85,18 +86,14 @@ class MicroBatcher:
         self,
         execute: Callable[[np.ndarray, np.ndarray], np.ndarray],
         *,
-        window: float = 0.002,
+        window: float = 0.0,
         max_size: int = 4096,
         faults=None,
     ) -> None:
-        if window < 0:
-            raise ValidationError(f"window must be >= 0, got {window}")
-        if max_size < 1:
-            raise ValidationError(f"max_size must be >= 1, got {max_size}")
         self._execute = execute
         self.faults = NO_FAULTS if faults is None else faults
-        self.window = float(window)
-        self.max_size = int(max_size)
+        self.window = float(check_setting("batch_window", window))
+        self.max_size = int(check_setting("batch_max", max_size))
         self._pending: list[tuple[int, int, asyncio.Future]] = []
         self._traced: list = []
         self._timer: asyncio.TimerHandle | None = None
@@ -157,14 +154,9 @@ class MicroBatcher:
             self.peak_pending = len(self._pending)
         if len(self._pending) >= self.max_size:
             self.flush(reason="max_size")
-        elif self.window <= 0:
-            self.flush(reason="immediate")
         elif self._timer is None:
-            self._timer = loop.call_later(self.window, self._deadline_flush)
+            self._timer = loop.call_later(self.window, self.flush, "deadline")
         return await future
-
-    def _deadline_flush(self) -> None:
-        self.flush(reason="deadline")
 
     def flush(self, reason: str = "manual") -> None:
         """Execute everything pending as one fused tick (no-op if empty).

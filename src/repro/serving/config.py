@@ -19,6 +19,7 @@ from pathlib import Path
 from ..exceptions import ValidationError
 from ..release.durable_ledger import FSYNC_MODES
 from ..release.ledger import check_floor
+from ..validation import SETTING_RANGES, check_setting
 
 __all__ = ["DEGRADED_MODES", "ServerConfig", "WAL_POLICY_SPELLINGS"]
 
@@ -57,8 +58,9 @@ class ServerConfig:
     drain_deadline:
         Seconds a graceful stop waits for in-flight connections.
     batch_window / batch_max:
-        Micro-batch deadline in seconds (``0`` disables batching) and
-        size bound.
+        Seconds a micro-batch stays open after its first query (``0``
+        closes it at the end of the event-loop turn in which that query
+        parked) and its size bound (``1`` turns batching off).
     audit_rate / audit_every:
         Fraction of responses fed to the online auditor (``0`` disables
         the hook), and a sweep every this many executed batches (``0``:
@@ -89,7 +91,7 @@ class ServerConfig:
     ledger_dir: str | None = None
     ledger_fsync: str = "group"
     drain_deadline: float = 5.0
-    batch_window: float = 0.002
+    batch_window: float = 0.0
     batch_max: int = 4096
     audit_rate: float = 0.05
     audit_every: int = 64
@@ -120,6 +122,8 @@ class ServerConfig:
                     raise ValidationError(
                         f"{field.name} must be a number, got {value!r}"
                     ) from None
+        for name in SETTING_RANGES:
+            check_setting(name, getattr(self, name))
         floor = self.floor
         try:
             floor = Fraction(floor) if isinstance(floor, str) else floor

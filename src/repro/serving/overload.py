@@ -60,6 +60,7 @@ import time
 from dataclasses import dataclass
 
 from ..exceptions import ValidationError
+from ..validation import check_setting
 
 __all__ = [
     "AdmissionController",
@@ -126,14 +127,10 @@ class AdmissionController:
         brownout_window: int = 128,
         clock=time.monotonic,
     ) -> None:
-        if capacity < 0:
-            raise ValidationError(
-                f"queue depth must be >= 0, got {capacity}"
-            )
-        if shed_deadline < 0:
-            raise ValidationError(
-                f"shed deadline must be >= 0, got {shed_deadline}"
-            )
+        self.capacity = int(check_setting("queue_depth", capacity))
+        self.shed_deadline = float(
+            check_setting("shed_deadline", shed_deadline)
+        )
         if not 0.0 < brownout_threshold <= 1.0:
             raise ValidationError(
                 "brownout threshold must be in (0, 1], got "
@@ -143,8 +140,6 @@ class AdmissionController:
             raise ValidationError(
                 f"brownout window must be >= 1, got {brownout_window}"
             )
-        self.capacity = int(capacity)
-        self.shed_deadline = float(shed_deadline)
         self.brownout_threshold = float(brownout_threshold)
         self.brownout_window = int(brownout_window)
         self._clock = clock
@@ -277,12 +272,8 @@ class WALCircuitBreaker:
                 f"WAL failure policy must be one of {WAL_FAILURE_POLICIES},"
                 f" got {policy!r}"
             )
-        if cooldown <= 0:
-            raise ValidationError(
-                f"breaker cooldown must be > 0, got {cooldown}"
-            )
         self.policy = policy
-        self.cooldown = float(cooldown)
+        self.cooldown = float(check_setting("breaker_cooldown", cooldown))
         self._clock = clock
         self.open = False
         self.reason: str | None = None

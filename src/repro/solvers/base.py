@@ -181,7 +181,7 @@ class LinearProgram:
         )
 
 
-def choose_backend(*, exact: bool, size_hint: int = 0):
+def choose_backend(*, exact: bool):
     """Pick a default backend.
 
     ``exact=True`` selects the certify-first hybrid backend: a float
@@ -189,9 +189,7 @@ def choose_backend(*, exact: bool, size_hint: int = 0):
     basis solve reconstructs the rational vertex, and an exact
     primal/dual certificate guards it — falling back to the integer
     fraction-free simplex only when certification fails. This services
-    programs of any size (the old hard error above 2500 variables is
-    gone); ``size_hint`` is kept for API compatibility and future
-    routing heuristics.
+    programs of any size.
 
     ``exact=False`` selects scipy/HiGHS floats.
     """

@@ -30,6 +30,7 @@ __all__ = [
     "check_index",
     "check_probability_vector",
     "check_row_stochastic",
+    "check_setting",
     "is_exact_array",
     "as_fraction",
     "as_fraction_matrix",
@@ -38,6 +39,27 @@ __all__ = [
 
 #: Absolute tolerance used for float-regime stochasticity and privacy checks.
 ATOL: float = 1e-9
+
+#: The range of each bounded serving setting, by its
+#: :class:`~repro.serving.ServerConfig` field name, as an interval. The
+#: config and the layer that takes the setting both check it here.
+SETTING_RANGES = {
+    "batch_window": "[0, inf)", "batch_max": "[1, inf)",
+    "audit_rate": "[0, 1]", "trace_rate": "[0, 1]", "trace_ring": "[0, inf)",
+    "queue_depth": "[0, inf)", "shed_deadline": "[0, inf)",
+    "breaker_cooldown": "(0, inf)",
+}
+
+
+def check_setting(name: str, value):
+    """Return ``value`` if it lies in setting ``name``'s interval in
+    :data:`SETTING_RANGES`; raise :class:`ValidationError` if not."""
+    interval = SETTING_RANGES[name]
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above_low = low <= value if interval[0] == "[" else low < value
+    if not (above_low and value <= high):
+        raise ValidationError(f"{name} must lie in {interval}, got {value!r}")
+    return value
 
 
 def check_alpha(alpha: object, *, allow_endpoints: bool = False) -> None:

@@ -199,7 +199,7 @@ class TestWitness:
     def test_server_publish(self, witness, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")
         store.get_or_compile(ArtifactSpec("geometric", 8, ALPHA))
-        server = MechanismServer(store, batch_window=0.001, audit_rate=0.0)
+        server = MechanismServer(store, audit_rate=0.0)
         server.load_store()
         server._rng = self.stub(witness)
 

@@ -74,15 +74,33 @@ class TestFlushTriggers:
         assert batcher.stats["size_flushes"] == 1
         assert batcher.stats["max_batch"] == 4
 
-    def test_window_zero_is_unbatched(self):
+    def test_submits_of_one_turn_close_at_its_end(self):
+        """Under the default window every query that parks in one loop
+        turn shares a gather, and the next turn's query opens another."""
         recorder = Recorder()
-        batcher = MicroBatcher(recorder, window=0.0, max_size=100)
+        batcher = MicroBatcher(recorder)
 
         async def go():
-            return [await batcher.submit(0, r) for r in range(3)]
+            first = await asyncio.gather(
+                *[batcher.submit(0, r) for r in range(5)]
+            )
+            return first, await batcher.submit(1, 0)
+
+        assert run(go()) == ([0, 1, 2, 3, 4], 10)
+        assert [len(t) for t, _ in recorder.ticks] == [5, 1]
+        assert batcher.stats["flush_reasons"]["deadline"] == 2
+
+    def test_batch_max_one_is_unbatched(self):
+        recorder = Recorder()
+        batcher = MicroBatcher(recorder, max_size=1)
+
+        async def go():
+            return await asyncio.gather(
+                *[batcher.submit(0, r) for r in range(3)]
+            )
 
         assert run(go()) == [0, 1, 2]
-        # Every query was its own tick.
+        # Every query was its own tick, though all three parked at once.
         assert batcher.stats["batches"] == 3
         assert all(len(t) == 1 for t, _ in recorder.ticks)
 

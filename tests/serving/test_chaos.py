@@ -49,7 +49,6 @@ def store(tmp_path):
 
 def make_server(store, ledger_dir, *, faults=None, floor=HALF ** 6,
                 **kwargs):
-    kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 11)
     server = MechanismServer(
@@ -197,7 +196,7 @@ store, ledger_dir, port_file = sys.argv[1], sys.argv[2], sys.argv[3]
 async def main():
     server = MechanismServer(
         store, floor=Fraction(1, 2) ** 8, ledger_dir=ledger_dir,
-        ledger_fsync="group", batch_window=0.001, audit_rate=0.0, seed=11,
+        ledger_fsync="group", audit_rate=0.0, seed=11,
     )
     server.load_store()
     await server.start()

@@ -1,6 +1,8 @@
 """ServerConfig: every serving setting's default and validation, once."""
 
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,19 @@ class TestServerConfig:
     def test_refuses_bad_settings(self, settings, match):
         with pytest.raises(ValidationError, match=match):
             ServerConfig.of(settings)
+
+    @pytest.mark.parametrize("name, value, interval", [
+        ("batch_window", -0.001, "[0, inf)"), ("batch_max", 0, "[1, inf)"),
+        ("audit_rate", 1.5, "[0, 1]"), ("trace_rate", math.nan, "[0, 1]"),
+        ("trace_ring", -1, "[0, inf)"), ("queue_depth", -1, "[0, inf)"),
+        ("shed_deadline", -1, "[0, inf)"), ("breaker_cooldown", 0, "(0, inf)"),
+    ])
+    def test_refuses_what_the_layer_would(self, name, value, interval):
+        """Each range a layer constructor enforces is refused here first,
+        so a fleet supervisor never spawns a worker doomed to fail."""
+        message = re.escape(f"{name} must lie in {interval}")
+        with pytest.raises(ValidationError, match=message):
+            ServerConfig.of({name: value})
 
     def test_server_keywords_go_through_the_config(self, tmp_path):
         store = ArtifactStore(tmp_path / "artifacts")

@@ -53,7 +53,6 @@ def store(tmp_path):
 
 
 def make_server(store, **kwargs):
-    kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 11)
     server = MechanismServer(store, **kwargs)

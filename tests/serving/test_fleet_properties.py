@@ -139,8 +139,7 @@ def _fleet_worker(args: tuple) -> int:
     store_dir, ledger_dir, floor = args
     server = MechanismServer(
         ArtifactStore(store_dir), ledger_dir=ledger_dir,
-        floor=Fraction(floor),
-        batch_window=0.001, audit_rate=0.0, seed=5,
+        floor=Fraction(floor), audit_rate=0.0, seed=5,
     )
     server.load_store()
     client = InProcessClient(server)

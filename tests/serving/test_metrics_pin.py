@@ -47,7 +47,7 @@ async def _script(server):
     for _ in range(4):  # "floor" reaches 1/8, then a 429
         await publish("floor")
     await parked(("f", "g"), "manual")
-    await parked(("h", "i"), "immediate")
+    await asyncio.gather(publish("h"), publish("i"))  # a deadline flush of two
     await parked(("k",), "close")
     server.ledgers.compact()
     server.audit()
@@ -138,8 +138,7 @@ VALUES = {
     ("repro_audit_findings_total", (("flagged", "false"),)): 1.0,
     ("repro_batch_flush_seconds_count", ()): 9.0,
     ("repro_batch_flushes_total", (("reason", "close"),)): 1.0,
-    ("repro_batch_flushes_total", (("reason", "deadline"),)): 5.0,
-    ("repro_batch_flushes_total", (("reason", "immediate"),)): 1.0,
+    ("repro_batch_flushes_total", (("reason", "deadline"),)): 6.0,
     ("repro_batch_flushes_total", (("reason", "manual"),)): 1.0,
     ("repro_batch_flushes_total", (("reason", "max_size"),)): 1.0,
     **{
@@ -212,7 +211,7 @@ def test_json_metrics_key_tree_and_counts(scripted):
             "deadline_flushes": None, "max_batch": None,
             "peak_pending": None,
             "flush_reasons": dict.fromkeys(
-                ("max_size", "deadline", "immediate", "manual", "close")
+                ("max_size", "deadline", "manual", "close")
             ),
             "occupancy": dict.fromkeys(
                 [str(1 << i) for i in range(14)] + ["16384+"]
@@ -248,11 +247,10 @@ def test_json_metrics_key_tree_and_counts(scripted):
         if not isinstance(value, dict)
     } == {
         "queries": 13, "batches": 9, "size_flushes": 1,
-        "deadline_flushes": 5, "max_batch": 3, "peak_pending": 3,
+        "deadline_flushes": 6, "max_batch": 3, "peak_pending": 3,
     }
     assert batcher["flush_reasons"] == {
-        "max_size": 1, "deadline": 5, "immediate": 1, "manual": 1,
-        "close": 1,
+        "max_size": 1, "deadline": 6, "manual": 1, "close": 1,
     }
     assert {k: v for k, v in batcher["occupancy"].items() if v} == {
         "1": 6, "2": 2, "4": 1,

@@ -26,7 +26,6 @@ def store(tmp_path):
 
 
 def make_server(store, **kwargs):
-    kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 11)
     server = MechanismServer(store, **kwargs)
@@ -82,7 +81,7 @@ class TestTracedPublish:
         assert [s["name"] for s in roots] == ["server.publish"]
 
     def test_batch_spans_broadcast_to_all_traced_requests(self, store):
-        server = make_server(store, trace_rate=1.0, batch_window=0.005)
+        server = make_server(store, trace_rate=1.0)
         client = InProcessClient(server)
 
         async def go():
@@ -517,26 +516,27 @@ class TestBatcherStats:
         return batcher
 
     def test_flush_reason_breakdown(self):
-        batcher = self.run_batch(window=0.001, max_size=4)
+        batcher = self.run_batch(max_size=4)
         reasons = batcher.stats["flush_reasons"]
         assert reasons["max_size"] == 1
         assert reasons["deadline"] == 1
         assert reasons["close"] == 0
         assert batcher.stats["batches"] == 2
 
-    def test_immediate_mode_counts_immediate(self):
-        batcher = self.run_batch(window=0.0)
-        assert batcher.stats["flush_reasons"]["immediate"] == 5
+    def test_unbatched_mode_counts_size_flushes(self):
+        batcher = self.run_batch(max_size=1)
+        assert batcher.stats["flush_reasons"]["max_size"] == 5
+        assert batcher.stats["batches"] == 5
 
     def test_occupancy_histogram_buckets(self):
-        batcher = self.run_batch(window=0.001, max_size=4)
+        batcher = self.run_batch(max_size=4)
         occupancy = batcher.stats["occupancy"]
         assert occupancy["4"] == 1  # the size-triggered flush
         assert occupancy["1"] == 1  # the deadline flush of the leftover
         assert sum(occupancy.values()) == batcher.stats["batches"]
 
     def test_scrape_families_follow_stats(self, store):
-        server = make_server(store, batch_window=0.001, batch_max=4)
+        server = make_server(store, batch_max=4)
         client = InProcessClient(server)
 
         async def go():

@@ -36,7 +36,6 @@ def store(tmp_path):
 
 
 def make_server(store, **kwargs):
-    kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 11)
     server = MechanismServer(store, **kwargs)
@@ -370,7 +369,6 @@ def make_faulty_ledger_server(store, tmp_path, *, policy, after, times,
     ledger = DurableLedger(
         ledger_dir, HALF ** 8, fsync="always", fs=FaultyFS(faults)
     )
-    kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 7)
     kwargs.setdefault("floor", HALF ** 8)

@@ -26,7 +26,6 @@ def store(tmp_path):
 
 
 def make_server(store, **kwargs):
-    kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 11)
     server = MechanismServer(store, **kwargs)
@@ -300,9 +299,7 @@ class TestQuarantine:
         entry.write_text(json.dumps(payload))
 
         async def main():
-            server = MechanismServer(
-                store, batch_window=0.001, audit_rate=0.0, seed=11
-            )
+            server = MechanismServer(store, audit_rate=0.0, seed=11)
             loaded = server.load_store()
             assert loaded == 1  # the healthy artifact
             assert len(server.quarantined) == 1

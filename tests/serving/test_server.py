@@ -1,6 +1,7 @@
 """Tests for the mechanism server (in-process and over HTTP)."""
 
 import asyncio
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ def store(tmp_path):
 
 
 def make_server(store, **kwargs):
-    kwargs.setdefault("batch_window", 0.001)
     kwargs.setdefault("audit_rate", 0.0)
     kwargs.setdefault("seed", 11)
     server = MechanismServer(store, **kwargs)
@@ -205,8 +205,8 @@ class TestPublish:
         assert other[0] == 200
         assert server.metrics["rejected_budget"] == 1
 
-    def test_concurrent_publishes_fuse_across_deployments(self, store):
-        server = make_server(store, batch_window=0.005)
+    def test_publishes_of_one_loop_turn_fuse_into_one_batch(self, store):
+        server = make_server(store)
         client = InProcessClient(server)
 
         async def go():
@@ -219,9 +219,85 @@ class TestPublish:
 
         results = run(go())
         assert all(status == 200 for status, _ in results)
-        # All 20 mixed n/alpha queries went through one fused gather.
+        # All 20 mixed n/alpha queries, started in one loop turn, went
+        # through one fused gather at the end of the turn they parked in.
         assert server.batcher.stats["batches"] == 1
         assert server.batcher.stats["max_batch"] == 20
+
+
+async def _seeded_waves(server, seed=5):
+    """Publish seeded waves of concurrent requests, some past the floor,
+    one carrying an idempotency key that a later wave retries; returns
+    every status, the final budgets and the replay count."""
+    rng = random.Random(seed)
+    keyed = {"user": "keyed", "n": 8, "alpha": "1/2", "true_result": 2,
+             "idem": "wave-3"}
+    statuses = []
+    for wave in range(12):
+        payloads = [
+            {"user": f"u{rng.randrange(8)}", "n": 8, "alpha": "1/2",
+             "true_result": rng.randrange(9)}
+            for _ in range(rng.randrange(1, 9))
+        ]
+        if wave in (3, 9):
+            payloads.insert(rng.randrange(len(payloads)), keyed)
+        results = await asyncio.gather(*map(server.publish, payloads))
+        statuses.append([status for status, _ in results])
+    budgets = server.ledgers.budgets()
+    await server.stop()
+    return statuses, budgets, server.metrics["replayed"]
+
+
+class TestOneFlushRule:
+    def test_a_lone_publish_resolves_within_two_loop_turns(self, store):
+        """Its batch closes at the end of the turn it parked in, with no
+        clock to wait out (a 2 ms window takes hundreds of turns)."""
+        server = make_server(store)
+
+        async def go():
+            turns = 0
+
+            async def count_turns():
+                nonlocal turns
+                while True:
+                    await asyncio.sleep(0)
+                    turns += 1
+
+            counter = asyncio.ensure_future(count_turns())
+            await asyncio.sleep(0)  # the counter is running
+            start = turns
+            status, _ = await server.publish(
+                {"user": "solo", "n": 8, "alpha": "1/2", "true_result": 3}
+            )
+            elapsed = turns - start
+            counter.cancel()
+            return status, elapsed
+
+        status, elapsed = run(go())
+        assert status == 200
+        assert elapsed <= 2
+
+    def test_batching_leaves_statuses_and_budgets_unchanged(
+        self, store, tmp_path
+    ):
+        """The turn-end default, a held-open window and ``batch_max=1``
+        agree on every status and budget, on the memory and WAL books."""
+        outcomes = {}
+        for book in ("memory", "wal"):
+            for mode, batching in (
+                ("turn", {}), ("held", {"batch_window": 0.002}),
+                ("unbatched", {"batch_max": 1}),
+            ):
+                if book == "wal":
+                    batching["ledger_dir"] = tmp_path / f"ledger-{mode}"
+                server = make_server(store, floor=Fraction(1, 64), **batching)
+                outcomes[book, mode] = run(_seeded_waves(server))
+        statuses, budgets, replayed = outcomes["memory", "turn"]
+        assert 429 in sum(statuses, []) and replayed == 1
+        assert all(
+            outcome == (statuses, budgets, replayed)
+            for outcome in outcomes.values()
+        )
 
 
 class TestRoutes:

@@ -368,7 +368,7 @@ class TestServeCommand:
         assert args.host == "127.0.0.1"
         assert args.port == 8790
         assert args.floor == Fraction(0)
-        assert args.batch_window == 0.002
+        assert args.batch_window == 0
         assert args.batch_max == 4096
         assert args.audit_rate == 0.05
         assert args.audit_every == 64
@@ -425,6 +425,32 @@ class TestServeCommand:
         assert err.startswith("error: ") and str(ledger) in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not spawned
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-window", "-1"), ("--batch-max", "0"),
+        ("--audit-rate", "1.5"), ("--trace-rate", "-0.1"),
+        ("--trace-ring", "-1"), ("--queue-depth", "-1"),
+        ("--shed-deadline", "-1"),
+    ])
+    def test_serve_refuses_an_out_of_range_setting_before_any_spawn(
+        self, capsys, monkeypatch, tmp_path, workers, flag, value
+    ):
+        from repro.serving import supervisor
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("a fleet was started")
+
+        monkeypatch.setattr(supervisor, "ServingSupervisor", no_fleet)
+        assert main([
+            "serve", "--store", str(tmp_path / "store"), "--port", "0",
+            flag, value, "--workers", workers,
+        ]) == 1
+        err = capsys.readouterr().err
+        setting = flag[2:].replace("-", "_")
+        assert err.startswith(f"error: {setting} must lie in ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "store").exists()
 
     def test_every_serve_flag_default_is_its_config_field(self):
@@ -641,8 +667,8 @@ class TestObsAndLedgerCommands:
         store = ArtifactStore(tmp_path / "artifacts")
         store.get_or_compile(ArtifactSpec("geometric", 8, Fraction(1, 2)))
         server = MechanismServer(
-            store, floor=Fraction(1, 8), batch_window=0.001,
-            audit_rate=0.0, seed=7, trace_rate=1.0,
+            store, floor=Fraction(1, 8), audit_rate=0.0, seed=7,
+            trace_rate=1.0,
         )
         server.load_store()
 
