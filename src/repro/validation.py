@@ -42,12 +42,15 @@ ATOL: float = 1e-9
 
 #: The range of each bounded serving setting, by its
 #: :class:`~repro.serving.ServerConfig` field name, as an interval. The
-#: config and the layer that takes the setting both check it here.
+#: config checks every one here, and so does the layer that takes the
+#: setting as its own argument (the batcher, auditor, tracer, admission
+#: controller and WAL breaker).
 SETTING_RANGES = {
     "batch_window": "[0, inf)", "batch_max": "[1, inf)",
     "audit_rate": "[0, 1]", "trace_rate": "[0, 1]", "trace_ring": "[0, inf)",
     "queue_depth": "[0, inf)", "shed_deadline": "[0, inf)",
-    "breaker_cooldown": "(0, inf)",
+    "breaker_cooldown": "(0, inf)", "audit_every": "[0, inf)",
+    "drain_deadline": "[0, inf)",
 }
 
 

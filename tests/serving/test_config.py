@@ -51,10 +51,11 @@ class TestServerConfig:
         ("audit_rate", 1.5, "[0, 1]"), ("trace_rate", math.nan, "[0, 1]"),
         ("trace_ring", -1, "[0, inf)"), ("queue_depth", -1, "[0, inf)"),
         ("shed_deadline", -1, "[0, inf)"), ("breaker_cooldown", 0, "(0, inf)"),
+        ("audit_every", -1, "[0, inf)"), ("drain_deadline", -1, "[0, inf)"),
     ])
-    def test_refuses_what_the_layer_would(self, name, value, interval):
-        """Each range a layer constructor enforces is refused here first,
-        so a fleet supervisor never spawns a worker doomed to fail."""
+    def test_refuses_a_setting_out_of_range(self, name, value, interval):
+        """Every range is refused here, in the fleet supervisor's own
+        process, before any worker spawns."""
         message = re.escape(f"{name} must lie in {interval}")
         with pytest.raises(ValidationError, match=message):
             ServerConfig.of({name: value})

@@ -61,8 +61,12 @@ class TestChooseBackend:
 
     def test_huge_exact_program_routes_to_hybrid(self):
         """Large exact programs are serviceable now — no hard error."""
-        assert LinearProgram(10_000).num_vars == 10_000
-        assert isinstance(choose_backend(exact=True), HybridBackend)
+        lp = LinearProgram(10_000)
+        lp.set_objective([(i, 1 + i % 3) for i in range(10_000)])
+        lp.add_eq([(i, 1) for i in range(10_000)], 1)
+        backend = choose_backend(exact=True)
+        assert isinstance(backend, HybridBackend)
+        assert backend.solve(lp).objective == 1
 
 
 class TestConstraintViews:

@@ -432,7 +432,8 @@ class TestServeCommand:
         ("--batch-window", "-1"), ("--batch-max", "0"),
         ("--audit-rate", "1.5"), ("--trace-rate", "-0.1"),
         ("--trace-ring", "-1"), ("--queue-depth", "-1"),
-        ("--shed-deadline", "-1"),
+        ("--shed-deadline", "-1"), ("--audit-every", "-1"),
+        ("--drain-deadline", "-1"),
     ])
     def test_serve_refuses_an_out_of_range_setting_before_any_spawn(
         self, capsys, monkeypatch, tmp_path, workers, flag, value
