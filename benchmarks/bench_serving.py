@@ -187,8 +187,9 @@ def check_audit_catches_tamper(store, *, requests):
 
 
 def bench_http_smoke(store, *, requests):
-    """Keep-alive HTTP/1.1 round-trips over a real socket."""
-    server = MechanismServer(store, audit_rate=0.0, seed=47)
+    """Keep-alive HTTP/1.1 round-trips over a real socket; window 0, so
+    a round trip waits out no batch window."""
+    server = MechanismServer(store, batch_window=0, audit_rate=0.0, seed=47)
     server.load_store()
 
     async def go():

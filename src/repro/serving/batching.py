@@ -11,8 +11,8 @@ executed as one gather when either
 
 * the **size bound** is hit (``max_size`` pending queries), or
 * the **deadline** fires: one timer, ``window`` seconds after the first
-  query of the batch parked. With the default ``window`` of 0 that is
-  the end of the event-loop turn in which it parked, so every query
+  query of the batch parked (2 ms by default). With ``window`` 0 that
+  is the end of the event-loop turn in which it parked, so every query
   that parked in the same turn shares the gather and none waits for a
   clock. An idle batcher schedules nothing.
 
@@ -86,7 +86,7 @@ class MicroBatcher:
         self,
         execute: Callable[[np.ndarray, np.ndarray], np.ndarray],
         *,
-        window: float = 0.0,
+        window: float = 0.002,
         max_size: int = 4096,
         faults=None,
     ) -> None:

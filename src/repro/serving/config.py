@@ -91,7 +91,7 @@ class ServerConfig:
     ledger_dir: str | None = None
     ledger_fsync: str = "group"
     drain_deadline: float = 5.0
-    batch_window: float = 0.0
+    batch_window: float = 0.002
     batch_max: int = 4096
     audit_rate: float = 0.05
     audit_every: int = 64

@@ -75,10 +75,10 @@ class TestFlushTriggers:
         assert batcher.stats["max_batch"] == 4
 
     def test_submits_of_one_turn_close_at_its_end(self):
-        """Under the default window every query that parks in one loop
-        turn shares a gather, and the next turn's query opens another."""
+        """Under window 0 every query that parks in one loop turn shares
+        a gather, and the next turn's query opens another."""
         recorder = Recorder()
-        batcher = MicroBatcher(recorder)
+        batcher = MicroBatcher(recorder, window=0)
 
         async def go():
             first = await asyncio.gather(

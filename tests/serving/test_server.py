@@ -220,7 +220,7 @@ class TestPublish:
         results = run(go())
         assert all(status == 200 for status, _ in results)
         # All 20 mixed n/alpha queries, started in one loop turn, went
-        # through one fused gather at the end of the turn they parked in.
+        # through one fused gather.
         assert server.batcher.stats["batches"] == 1
         assert server.batcher.stats["max_batch"] == 20
 
@@ -250,9 +250,10 @@ async def _seeded_waves(server, seed=5):
 
 class TestOneFlushRule:
     def test_a_lone_publish_resolves_within_two_loop_turns(self, store):
-        """Its batch closes at the end of the turn it parked in, with no
-        clock to wait out (a 2 ms window takes hundreds of turns)."""
-        server = make_server(store)
+        """Under window 0 its batch closes at the end of the turn it
+        parked in, with no clock to wait out (the 2 ms default takes
+        hundreds of turns)."""
+        server = make_server(store, batch_window=0)
 
         async def go():
             turns = 0
@@ -280,12 +281,13 @@ class TestOneFlushRule:
     def test_batching_leaves_statuses_and_budgets_unchanged(
         self, store, tmp_path
     ):
-        """The turn-end default, a held-open window and ``batch_max=1``
-        agree on every status and budget, on the memory and WAL books."""
+        """The turn-end flush, the default 2 ms window and
+        ``batch_max=1`` agree on every status and budget, on the memory
+        and WAL books."""
         outcomes = {}
         for book in ("memory", "wal"):
             for mode, batching in (
-                ("turn", {}), ("held", {"batch_window": 0.002}),
+                ("turn", {"batch_window": 0}), ("held", {}),
                 ("unbatched", {"batch_max": 1}),
             ):
                 if book == "wal":

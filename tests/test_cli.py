@@ -368,7 +368,7 @@ class TestServeCommand:
         assert args.host == "127.0.0.1"
         assert args.port == 8790
         assert args.floor == Fraction(0)
-        assert args.batch_window == 0
+        assert args.batch_window == 0.002
         assert args.batch_max == 4096
         assert args.audit_rate == 0.05
         assert args.audit_every == 64
